@@ -153,7 +153,7 @@ impl KeywordClassifier {
         // naive haystack order: text, then title again, then the sorted
         // deduplicated class set, then the domain.
         let mut title_parts: Vec<Cow<'_, str>> = Vec::new();
-        let mut classes: Vec<Cow<'_, str>> = Vec::new();
+        let mut classes: Vec<&str> = Vec::new();
         let mut in_title = false;
         let mut title_done = false;
         for token in Tokens::new(html) {
@@ -170,9 +170,7 @@ impl KeywordClassifier {
                     if name == "title" {
                         in_title = true;
                     }
-                    if let Some(class_attr) = attributes.get("class") {
-                        push_classes(&mut classes, class_attr);
-                    }
+                    classes.extend(attributes.class_names());
                 }
                 StreamToken::Close { name } => {
                     if name == "title" {
@@ -299,24 +297,6 @@ fn class_set_owned(html: &str) -> BTreeSet<String> {
     classes
 }
 
-/// Split a `class` attribute into individual class names, preserving the
-/// borrow when the attribute value is itself borrowed from the document
-/// (the common case — attribute values never need fix-ups).
-fn push_classes<'a>(classes: &mut Vec<Cow<'a, str>>, attr: Cow<'a, str>) {
-    match attr {
-        Cow::Borrowed(value) => {
-            for class in value.split_whitespace() {
-                classes.push(Cow::Borrowed(class));
-            }
-        }
-        Cow::Owned(value) => {
-            for class in value.split_whitespace() {
-                classes.push(Cow::Owned(class.to_string()));
-            }
-        }
-    }
-}
-
 /// Occurrence count of one keyword in the naive haystack: exact word match
 /// for single words, substring scan for multi-word phrases.
 fn count_occurrences(haystack: &str, words: &[&str], needle: &str) -> usize {
@@ -437,6 +417,34 @@ mod tests {
             (
                 "title.example",
                 "<title>breaking news</title><div class=\"cart cart\">buy</div>",
+            ),
+            // Attribute shapes the byte-level `class` scan must read like
+            // the owned tokenizer: upper-case and duplicate names, bare
+            // and spaced `class`, every quoting style, unterminated
+            // quotes, a stray `=`, control whitespace and Unicode spaces
+            // inside and outside quoted values.
+            ("upper.example", "<p CLASS=\"shop cart\">x</p>"),
+            (
+                "dup.example",
+                "<p class=\"news\" class='shop cart' class=store>x</p>",
+            ),
+            ("bare.example", "<p class=\"shop cart\" class>x</p>"),
+            ("spaced.example", "<p class = \"shop\tcart\">buy</p>"),
+            ("single.example", "<p class='shop cart'>buy</p>"),
+            ("unquoted.example", "<p class=cart id=shop>buy</p>"),
+            ("open.example", "<p class=\"shop cart>buy</p>"),
+            ("stray.example", "<p = class=\"shop cart\">buy</p>"),
+            (
+                "control.example",
+                "<p class=\"shop\u{0b}cart\u{0c}store\rbuy\">x</p>",
+            ),
+            (
+                "unicode.example",
+                "<p class=\"shop\u{85}cart\u{a0}store\u{3000}buy\">x</p>",
+            ),
+            (
+                "outside.example",
+                "<p id=1\u{a0}class=\"shop cart\"\u{3000}class='buy'\u{85}>x</p>",
             ),
         ] {
             let domain = dn(domain);

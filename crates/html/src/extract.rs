@@ -27,10 +27,8 @@ pub fn class_set(html: &str) -> BTreeSet<String> {
     let mut classes = BTreeSet::new();
     for token in Tokens::new(html) {
         if let StreamToken::Open { attributes, .. } = token {
-            if let Some(class_attr) = attributes.get("class") {
-                for class in class_attr.split_whitespace() {
-                    classes.insert(class.to_string());
-                }
+            for class in attributes.class_names() {
+                classes.insert(class.to_string());
             }
         }
     }

@@ -99,6 +99,8 @@ impl DocumentProfile {
     /// Runs on the zero-copy streaming tokenizer: one pass over the
     /// document, hashing tag names and class names straight out of the
     /// borrowed token stream without materialising an owned token vector.
+    /// Class names come from [`RawAttrs::class_names`](crate::RawAttrs::class_names),
+    /// the byte-level `class` scan.
     pub fn with_scratch(
         html: &str,
         weights: SimilarityWeights,
@@ -115,10 +117,8 @@ impl DocumentProfile {
             } = token
             {
                 scratch.tag_hashes.push(hash_token(name.as_bytes()));
-                if let Some(class_attr) = attributes.get("class") {
-                    for class in class_attr.split_whitespace() {
-                        scratch.classes.push(hash_token(class.as_bytes()));
-                    }
+                for class in attributes.class_names() {
+                    scratch.classes.push(hash_token(class.as_bytes()));
                 }
             }
         }
@@ -323,17 +323,55 @@ mod tests {
         .is_err());
     }
 
+    /// Attribute shapes the byte-level `class` scan must read like the
+    /// owned tokenizer: upper-case and duplicate names, bare and spaced
+    /// `class`, every quoting style, unterminated quotes, a stray `=`,
+    /// control whitespace and Unicode spaces inside and outside quotes.
+    const ATTRIBUTE_PAGES: &[&str] = &[
+        "<div CLASS=\"nav brand\"><p class=\"story\">x</p></div>",
+        "<div class=\"nav\" class='brand logo' class=story>x</div>",
+        "<div class=\"nav brand\" class><p class = \"story\tlogo\">x</p></div>",
+        "<div class=nav id=brand><p class=\"story logo>x</p></div>",
+        "<div = class=\"nav brand\"><p class='story'>x</p></div>",
+        "<div class=\"nav\u{0b}brand\u{0c}logo\rstory\">x</div>",
+        "<div class=\"nav\u{85}brand\u{a0}logo\u{3000}story\">x</div>",
+        "<div id=1\u{a0}class=\"nav brand\"\u{3000}class='logo'\u{85}>x</div>",
+    ];
+
+    /// The class set the owned tokenizer's attribute map yields, built
+    /// without the streaming `class` scan.
+    fn owned_class_set(html: &str) -> std::collections::BTreeSet<String> {
+        crate::tokenizer::tokenize(html)
+            .into_iter()
+            .filter_map(|t| match t {
+                crate::tokenizer::Token::Open { attributes, .. } => {
+                    attributes.get("class").cloned()
+                }
+                _ => None,
+            })
+            .flat_map(|v| v.split_whitespace().map(str::to_string).collect::<Vec<_>>())
+            .collect()
+    }
+
     #[test]
     fn profiles_match_naive_implementation() {
         let weights = SimilarityWeights::default();
-        for (a, b) in [
+        let mut pairs = vec![
             (PAGE_A, PAGE_A),
             (PAGE_A, PAGE_A2),
             (PAGE_A, PAGE_B),
             (PAGE_A2, PAGE_B),
             (PAGE_A, ""),
             ("", ""),
-        ] {
+        ];
+        for &page in ATTRIBUTE_PAGES {
+            assert_eq!(class_set(page), owned_class_set(page), "{page:?}");
+            pairs.push((PAGE_A, page));
+            for &other in ATTRIBUTE_PAGES {
+                pairs.push((page, other));
+            }
+        }
+        for (a, b) in pairs {
             let fast = html_similarity(a, b, weights);
             let naive = html_similarity_naive(a, b, weights);
             assert!((fast.style - naive.style).abs() < 1e-12);

@@ -6,8 +6,16 @@
 //! the contents of `<script>`/`<style>` elements (their text would otherwise
 //! pollute the text extraction), and tolerating unquoted or missing
 //! attribute values.
+//!
+//! The streaming [`Tokens`] leaves attributes unparsed ([`RawAttrs`]).
+//! Reading `class`, which Figure 4 and the classifier do for every tag, is
+//! a byte-level scan ([`RawAttrs::get`], [`RawAttrs::class_names`]) that
+//! falls back to the char-based [`AttrIter`] and `split_whitespace` where a
+//! non-ASCII byte could be a Unicode space; see [`RawAttrs`].
 
-use rws_stats::swar::{find_byte, has_ascii_uppercase, is_collapsed_ascii, scan_text_run};
+use rws_stats::swar::{
+    find_byte, find_space_or_non_ascii, has_ascii_uppercase, is_collapsed_ascii, scan_text_run,
+};
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::collections::BTreeMap;
@@ -159,7 +167,7 @@ fn parse_tag_body(body: &str) -> (String, BTreeMap<String, String>, bool) {
         rest = rest[name_len..].trim_start();
         if attr_name.is_empty() {
             // Defensive: skip a stray character to guarantee progress.
-            rest = &rest[rest.len().min(1)..];
+            rest = &rest[first_char_len(rest)..];
             continue;
         }
         if let Some(after_eq) = rest.strip_prefix('=') {
@@ -246,9 +254,32 @@ impl StreamToken<'_> {
 }
 
 /// The unparsed attribute section of an open tag, between the tag name and
-/// the closing `>`. Attribute syntax is only scanned when [`get`](Self::get)
-/// or [`iter`](Self::iter) is called, and both borrow names and values from
-/// the document (names are lower-cased through a [`Cow`] when needed).
+/// the closing `>`. Attribute syntax is only scanned when [`get`](Self::get),
+/// [`class_names`](Self::class_names) or [`iter`](Self::iter) is called, and
+/// all three borrow from the document (names are lower-cased through a
+/// [`Cow`] when needed).
+///
+/// # The `class` scan
+///
+/// Every consumer of the `class` attribute (Figure 4's style profiles,
+/// the keyword classifier, [`class_set`](crate::extract::class_set)) goes
+/// through [`get`](Self::get) and [`class_names`](Self::class_names), and
+/// both walk the attribute bytes directly. Names end at `=` or at one of
+/// the six ASCII bytes `char::is_whitespace` accepts (0x09–0x0D and 0x20),
+/// quoted values end at the closing quote found with the word-at-a-time
+/// [`find_byte`], names compare ASCII-case-insensitively, the last
+/// duplicate wins and a bare attribute yields `""`. `class_names` then
+/// splits the value on the same six bytes, eight at a time.
+///
+/// U+0085, U+00A0, U+3000 and the other Unicode spaces are whitespace to
+/// the owned tokenizer too, so a non-ASCII byte where whitespace decides
+/// anything sends the lookup back to the char-based [`AttrIter`]: one
+/// outside a quoted value makes `get` re-run as the last match of
+/// [`iter`](Self::iter), and one inside the `class` value makes
+/// `class_names` finish with `split_whitespace`. Inside quoted values
+/// such bytes are plain data, since only the closing quote ends one.
+/// [`iter`](Self::iter) always takes the char-based walk and is the
+/// reference the property tests compare the scan against.
 ///
 /// Equality compares the raw underlying slice, not the parsed attribute
 /// map; two differently-written tags with the same attributes compare
@@ -263,13 +294,34 @@ impl<'a> RawAttrs<'a> {
     /// resolve to the last occurrence, matching the owned tokenizer's map
     /// insertion order. Bare attributes (`disabled`) yield an empty value.
     pub fn get(&self, name: &str) -> Option<Cow<'a, str>> {
-        let mut found = None;
-        for (attr_name, value) in self.iter() {
-            if attr_name == name {
-                found = Some(value);
-            }
-        }
-        found
+        scan_attr(self.raw, name.as_bytes())
+            .unwrap_or_else(|| self.last_value_of_iter(name))
+            .map(Cow::Borrowed)
+    }
+
+    /// The whitespace-separated names in the `class` attribute, in order
+    /// and with duplicates kept: `get("class")` split by
+    /// `split_whitespace`, without building either.
+    ///
+    /// ```
+    /// use rws_html::tokenizer::{StreamToken, Tokens};
+    ///
+    /// let Some(StreamToken::Open { attributes, .. }) =
+    ///     Tokens::new("<p CLASS='a  b' class=\"nav\tmain\">").next()
+    /// else {
+    ///     unreachable!()
+    /// };
+    /// assert_eq!(attributes.class_names().collect::<Vec<_>>(), ["nav", "main"]);
+    /// ```
+    pub fn class_names(&self) -> ClassNames<'a> {
+        ClassNames(match scan_attr(self.raw, b"class") {
+            Some(value) => ClassSplit::Bytes(value.unwrap_or("")),
+            None => ClassSplit::Unicode(
+                self.last_value_of_iter("class")
+                    .unwrap_or("")
+                    .split_whitespace(),
+            ),
+        })
     }
 
     /// Iterate `(name, value)` pairs in document order. Names are
@@ -284,6 +336,176 @@ impl<'a> RawAttrs<'a> {
     pub fn is_empty(&self) -> bool {
         self.raw.trim_start().is_empty()
     }
+
+    /// The non-ASCII fallback: the value of the last [`AttrIter`] pair
+    /// whose lower-cased name is `name`.
+    fn last_value_of_iter(&self, name: &str) -> Option<&'a str> {
+        let mut found = None;
+        let mut attrs = self.iter();
+        while let Some((attr_name, value)) = attrs.next_raw() {
+            if lower_eq(attr_name.as_bytes(), name.as_bytes()) {
+                found = Some(value);
+            }
+        }
+        found
+    }
+}
+
+/// [`ATTR_BYTE`] class of the six ASCII bytes `char::is_whitespace`
+/// accepts (0x09–0x0d and 0x20).
+const SPACE: u8 = 1;
+/// [`ATTR_BYTE`] class of `=`.
+const EQUALS: u8 = 2;
+/// [`ATTR_BYTE`] class of every byte from 0x80 up: part of a multi-byte
+/// char, which may be a Unicode space.
+const NON_ASCII: u8 = 4;
+
+/// What each byte means to the attribute scan, so every step of its walk
+/// is one table load: 0 for bytes that continue a name or a value.
+static ATTR_BYTE: [u8; 256] = {
+    let mut table = [0u8; 256];
+    let mut b = 0;
+    while b < 256 {
+        table[b] = match b {
+            0x09..=0x0d | 0x20 => SPACE,
+            0x3d => EQUALS,
+            0x80..=0xff => NON_ASCII,
+            _ => 0,
+        };
+        b += 1;
+    }
+    table
+};
+
+/// Index of the first byte at or after `i` that is not ASCII whitespace.
+#[inline(always)]
+fn skip_space(b: &[u8], mut i: usize) -> usize {
+    while i < b.len() && ATTR_BYTE[b[i] as usize] == SPACE {
+        i += 1;
+    }
+    i
+}
+
+/// True when `attr`, ASCII-lower-cased, equals `want` — the comparison the
+/// owned tokenizer's map makes after lower-casing every attribute name.
+#[inline(always)]
+fn lower_eq(attr: &[u8], want: &[u8]) -> bool {
+    attr.len() == want.len()
+        && attr
+            .iter()
+            .zip(want)
+            .all(|(&a, &w)| a.to_ascii_lowercase() == w)
+}
+
+/// The byte walk behind [`RawAttrs::get`]: the grammar of [`AttrIter`], one
+/// table lookup per byte, keeping only the last value of `want`. Quoted
+/// values are skipped with the word-at-a-time [`find_byte`]; their bytes
+/// never decide where anything ends, so they may hold any UTF-8.
+///
+/// Everywhere else a byte from 0x80 up could be part of a Unicode space,
+/// which [`AttrIter`]'s `char::is_whitespace` would honour: the walk
+/// returns `None` when it meets one, and the caller falls back to
+/// [`AttrIter`]. A walk that returns `Some` met only ASCII outside quoted
+/// values, where the two grammars agree byte for byte.
+fn scan_attr<'a>(raw: &'a str, want: &[u8]) -> Option<Option<&'a str>> {
+    let b = raw.as_bytes();
+    let len = b.len();
+    let mut found = None;
+    let mut i = skip_space(b, 0);
+    while i < len {
+        // A name ends at whitespace, `=` or a non-ASCII byte.
+        let start = i;
+        while i < len && ATTR_BYTE[b[i] as usize] == 0 {
+            i += 1;
+        }
+        let name_end = i;
+        i = skip_space(b, i);
+        if name_end == start {
+            // A non-ASCII byte outside a quoted value always ends up here:
+            // it ends a name or an unquoted value, and the round after
+            // starts at it with an empty name. It may be a Unicode space.
+            if i < len && b[i] >= 0x80 {
+                return None;
+            }
+            // A stray `=` (or, right after one, any char): skip one char.
+            i = (i + 1).min(len);
+            continue;
+        }
+        let hit = lower_eq(&b[start..name_end], want);
+        if i < len && b[i] == b'=' {
+            i = skip_space(b, i + 1);
+            let (value, end) = match b.get(i) {
+                Some(&quote) if quote == b'"' || quote == b'\'' => {
+                    match find_byte(&b[i + 1..], quote) {
+                        Some(close) => (&raw[i + 1..i + 1 + close], i + 1 + close + 1),
+                        None => (&raw[i + 1..], len),
+                    }
+                }
+                _ => {
+                    let mut end = i;
+                    while end < len && ATTR_BYTE[b[end] as usize] & (SPACE | NON_ASCII) == 0 {
+                        end += 1;
+                    }
+                    (&raw[i..end], end)
+                }
+            };
+            if hit {
+                found = Some(value);
+            }
+            i = skip_space(b, end);
+        } else if hit {
+            found = Some("");
+        }
+    }
+    Some(found)
+}
+
+/// Iterator over the names in a `class` attribute; see
+/// [`RawAttrs::class_names`].
+#[derive(Debug, Clone)]
+pub struct ClassNames<'a>(ClassSplit<'a>);
+
+#[derive(Debug, Clone)]
+enum ClassSplit<'a> {
+    /// The rest of the value, split on the six ASCII whitespace bytes
+    /// until a non-ASCII byte turns up.
+    Bytes(&'a str),
+    /// The rest of the value, split on Unicode whitespace.
+    Unicode(std::str::SplitWhitespace<'a>),
+}
+
+impl<'a> Iterator for ClassNames<'a> {
+    type Item = &'a str;
+
+    #[inline]
+    fn next(&mut self) -> Option<&'a str> {
+        let rest = match &mut self.0 {
+            ClassSplit::Bytes(rest) => rest,
+            ClassSplit::Unicode(split) => return split.next(),
+        };
+        let b = rest.as_bytes();
+        let start = skip_space(b, 0);
+        if start == b.len() {
+            *rest = "";
+            return None;
+        }
+        let end = match find_space_or_non_ascii(&b[start..]) {
+            None => b.len(),
+            Some(off) if b[start + off] < 0x80 => start + off,
+            Some(_) => {
+                // Every name so far ended at ASCII whitespace, which is
+                // also a `split_whitespace` boundary: splitting the rest
+                // by chars continues the same sequence.
+                let mut split = rest[start..].split_whitespace();
+                let name = split.next();
+                self.0 = ClassSplit::Unicode(split);
+                return name;
+            }
+        };
+        let name = &rest[start..end];
+        *rest = &rest[end..];
+        Some(name)
+    }
 }
 
 /// Iterator over a tag's attributes; see [`RawAttrs::iter`].
@@ -292,12 +514,11 @@ pub struct AttrIter<'a> {
     rest: &'a str,
 }
 
-impl<'a> Iterator for AttrIter<'a> {
-    type Item = (Cow<'a, str>, Cow<'a, str>);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        // Mirrors the attribute loop of `parse_tag_body` exactly, borrowing
-        // instead of allocating.
+impl<'a> AttrIter<'a> {
+    /// The next `(name, value)` pair with the name as written. Mirrors the
+    /// attribute loop of `parse_tag_body` exactly, borrowing instead of
+    /// allocating.
+    fn next_raw(&mut self) -> Option<(&'a str, &'a str)> {
         loop {
             if self.rest.is_empty() {
                 return None;
@@ -310,10 +531,9 @@ impl<'a> Iterator for AttrIter<'a> {
             self.rest = self.rest[name_len..].trim_start();
             if attr_name.is_empty() {
                 // Defensive: skip a stray character to guarantee progress.
-                self.rest = &self.rest[self.rest.len().min(1)..];
+                self.rest = &self.rest[first_char_len(self.rest)..];
                 continue;
             }
-            let attr_name = lowercase_cow(attr_name);
             if let Some(after_eq) = self.rest.strip_prefix('=') {
                 let after_eq = after_eq.trim_start();
                 let (value, remainder) = if let Some(q) = after_eq.strip_prefix('"') {
@@ -331,11 +551,27 @@ impl<'a> Iterator for AttrIter<'a> {
                     (&after_eq[..end], &after_eq[end..])
                 };
                 self.rest = remainder.trim_start();
-                return Some((attr_name, Cow::Borrowed(value)));
+                return Some((attr_name, value));
             }
-            return Some((attr_name, Cow::Borrowed("")));
+            return Some((attr_name, ""));
         }
     }
+}
+
+impl<'a> Iterator for AttrIter<'a> {
+    type Item = (Cow<'a, str>, Cow<'a, str>);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        self.next_raw()
+            .map(|(name, value)| (lowercase_cow(name), Cow::Borrowed(value)))
+    }
+}
+
+/// Byte length of the first char of `s` (0 when empty): the stray-character
+/// skip of the attribute loops, which must not split a multi-byte char.
+#[inline]
+fn first_char_len(s: &str) -> usize {
+    s.chars().next().map_or(0, char::len_utf8)
 }
 
 /// Void-element membership for the streaming tokenizer's hot path: a
@@ -902,8 +1138,13 @@ mod tests {
             "<!-- unterminated comment",
             "<script>never closed",
             "",
+            // A stray `=` then a multi-byte char: the skip must not split it.
+            "<a = \u{e9}>x</a>",
         ] {
             let _ = tokenize(html);
+            for token in Tokens::new(html) {
+                let _ = token.to_token();
+            }
         }
     }
 
@@ -948,6 +1189,8 @@ mod tests {
             "<p>a > b</p>",
             "<p>already collapsed run stays borrowed</p>",
             "<p>tab\tand\u{00a0}nbsp   runs</p>",
+            "<a = \u{e9}>stray then multi-byte</a>",
+            "<a =\u{3000}class=x>stray then ideographic space</a>",
         ] {
             let owned = tokenize(html);
             let streamed: Vec<Token> = Tokens::new(html).map(|t| t.to_token()).collect();

@@ -164,4 +164,19 @@ mod tests {
         assert!(WellKnownFile::from_json_str("{\"primary\": 7}").is_err());
         assert!(WellKnownFile::from_json_str("not json at all").is_err());
     }
+
+    /// A candidate site serves this file, so its nesting is hostile input:
+    /// a JSON bomb must come back as `MalformedJson`, not abort the process
+    /// with a stack overflow.
+    #[test]
+    fn deeply_nested_documents_are_malformed_json() {
+        for text in ["[".repeat(200_000), "{\"a\":".repeat(200_000)] {
+            match WellKnownFile::from_json_str(&text) {
+                Err(SetError::MalformedJson { reason }) => {
+                    assert!(reason.contains("recursion limit"), "{reason}")
+                }
+                other => panic!("expected MalformedJson, got {other:?}"),
+            }
+        }
+    }
 }

@@ -149,6 +149,11 @@ impl ThreadPool {
     /// The process-wide pool: `available_parallelism` workers (overridable
     /// via `RWS_POOL_THREADS`), or none on a single-core machine, where the
     /// caller-helps path is already optimal.
+    ///
+    /// # Panics
+    ///
+    /// On first use, when `RWS_POOL_THREADS` is set to anything but a
+    /// non-negative integer.
     pub fn global() -> &'static ThreadPool {
         static GLOBAL: OnceLock<ThreadPool> = OnceLock::new();
         GLOBAL.get_or_init(|| ThreadPool::new(default_thread_count()))
@@ -266,20 +271,54 @@ impl ThreadPool {
     }
 }
 
+/// Environment variable overriding the global pool's worker count.
+const POOL_THREADS_ENV: &str = "RWS_POOL_THREADS";
+
 fn default_thread_count() -> usize {
-    if let Ok(value) = std::env::var("RWS_POOL_THREADS") {
-        if let Ok(threads) = value.trim().parse::<usize>() {
-            return threads.min(512);
-        }
-    }
     let cores = std::thread::available_parallelism()
         .map(|p| p.get())
         .unwrap_or(1);
-    // On a single core the helping caller is the whole pool.
-    if cores <= 1 {
-        0
-    } else {
-        cores
+    thread_count_from(env_override(POOL_THREADS_ENV).as_deref(), cores)
+}
+
+/// Worker count of the global pool from an optional override string (the
+/// value of [`POOL_THREADS_ENV`]) and the machine's core count. An absent
+/// or blank override gives `cores`, or none on a single core, where the
+/// helping caller is the whole pool. A non-negative integer is taken as
+/// is, capped at 512; `0` drains every sweep inline. Split from the env
+/// read so it is testable without mutating process state.
+///
+/// # Panics
+///
+/// On any other override (`abc`, `-1`, `2.5`), naming the variable and its
+/// value, so a typo cannot silently run at the default width.
+pub(crate) fn thread_count_from(raw: Option<&str>, cores: usize) -> usize {
+    match raw.map(str::trim).filter(|s| !s.is_empty()) {
+        Some(s) => match s.parse::<usize>() {
+            Ok(threads) => threads.min(512),
+            Err(_) => panic!(
+                "{POOL_THREADS_ENV} must be a non-negative integer, got {:?}",
+                raw.unwrap_or_default()
+            ),
+        },
+        None if cores <= 1 => 0,
+        None => cores,
+    }
+}
+
+/// The value of an environment variable, `None` when it is not set.
+///
+/// # Panics
+///
+/// When the value is not valid Unicode, naming the variable: such a value
+/// cannot be parsed, and ignoring it would silently apply the default.
+pub(crate) fn env_override(name: &str) -> Option<String> {
+    match std::env::var(name) {
+        Ok(value) => Some(value),
+        Err(std::env::VarError::NotPresent) => None,
+        Err(std::env::VarError::NotUnicode(value)) => {
+            panic!("{name} must be valid Unicode, got {value:?}")
+        }
     }
 }
 
@@ -467,6 +506,31 @@ where
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
+
+    #[test]
+    fn thread_count_override_parsing() {
+        // No override: every core, or none on a single core.
+        assert_eq!(thread_count_from(None, 4), 4);
+        assert_eq!(thread_count_from(None, 1), 0);
+        assert_eq!(thread_count_from(Some(""), 2), 2);
+        assert_eq!(thread_count_from(Some("  "), 1), 0);
+        // An override wins, whatever the core count.
+        assert_eq!(thread_count_from(Some("3"), 1), 3);
+        assert_eq!(thread_count_from(Some(" 0 "), 8), 0);
+        assert_eq!(thread_count_from(Some("100000"), 2), 512);
+    }
+
+    #[test]
+    #[should_panic(expected = "RWS_POOL_THREADS must be a non-negative integer, got \"abc\"")]
+    fn thread_count_rejects_non_numbers() {
+        thread_count_from(Some("abc"), 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "RWS_POOL_THREADS must be a non-negative integer, got \"-1\"")]
+    fn thread_count_rejects_negative() {
+        thread_count_from(Some("-1"), 4);
+    }
 
     #[test]
     fn pool_map_matches_sequential() {

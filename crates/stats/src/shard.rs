@@ -73,24 +73,37 @@ impl ShardRouter {
 }
 
 /// Shard count from an optional override string (the value of
-/// [`STORE_SHARDS_ENV`]), falling back to `default` when absent, empty,
-/// unparsable, or zero. Split from the env read so it is testable
-/// without mutating process state.
+/// [`STORE_SHARDS_ENV`]): `default` when absent or blank, the parsed count
+/// when it is a positive integer. Split from the env read so it is
+/// testable without mutating process state.
+///
+/// # Panics
+///
+/// On any other override (`abc`, `0`, `-1`), naming the variable and its
+/// value, so a typo cannot silently run with the default layout.
 pub fn shard_count_from(raw: Option<&str>, default: usize) -> usize {
     match raw.map(str::trim).filter(|s| !s.is_empty()) {
         Some(s) => match s.parse::<usize>() {
             Ok(n) if n >= 1 => n,
-            _ => default,
+            _ => panic!(
+                "{STORE_SHARDS_ENV} must be a positive integer, got {:?}",
+                raw.unwrap_or_default()
+            ),
         },
         None => default,
     }
 }
 
-/// The frozen-store shard count: [`STORE_SHARDS_ENV`] when set to a
-/// positive integer, [`DEFAULT_STORE_SHARDS`] otherwise.
+/// The frozen-store shard count: [`STORE_SHARDS_ENV`] when set,
+/// [`DEFAULT_STORE_SHARDS`] otherwise.
+///
+/// # Panics
+///
+/// When [`STORE_SHARDS_ENV`] is set to anything but a positive integer
+/// (see [`shard_count_from`]).
 pub fn store_shard_count() -> usize {
     shard_count_from(
-        std::env::var(STORE_SHARDS_ENV).ok().as_deref(),
+        crate::pool::env_override(STORE_SHARDS_ENV).as_deref(),
         DEFAULT_STORE_SHARDS,
     )
 }
@@ -160,10 +173,27 @@ mod tests {
         assert_eq!(shard_count_from(None, 8), 8);
         assert_eq!(shard_count_from(Some(""), 8), 8);
         assert_eq!(shard_count_from(Some("  "), 8), 8);
-        assert_eq!(shard_count_from(Some("0"), 8), 8);
-        assert_eq!(shard_count_from(Some("banana"), 8), 8);
         assert_eq!(shard_count_from(Some("4"), 8), 4);
         assert_eq!(shard_count_from(Some(" 32 "), 8), 32);
         assert_eq!(shard_count_from(Some("7"), 8), 7);
+        assert_eq!(shard_count_from(Some("1"), 8), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "RWS_STORE_SHARDS must be a positive integer, got \"banana\"")]
+    fn shard_count_rejects_non_numbers() {
+        shard_count_from(Some("banana"), 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "RWS_STORE_SHARDS must be a positive integer, got \"0\"")]
+    fn shard_count_rejects_zero() {
+        shard_count_from(Some("0"), 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "RWS_STORE_SHARDS must be a positive integer, got \"-4\"")]
+    fn shard_count_rejects_negative() {
+        shard_count_from(Some("-4"), 8);
     }
 }

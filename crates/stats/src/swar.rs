@@ -139,6 +139,51 @@ pub fn find_byte2(haystack: &[u8], a: u8, c: u8) -> Option<usize> {
     None
 }
 
+/// Index of the first byte that is ASCII whitespace in the
+/// `char::is_whitespace` sense (0x09–0x0d or 0x20) or is not ASCII at all
+/// (0x80 and up), eight bytes at a time. Equivalent to
+/// `haystack.iter().position(|&b| b >= 0x80 || b == b' ' || (0x09..=0x0d).contains(&b))`.
+///
+/// A splitter on ASCII whitespace uses this to find the end of a word and,
+/// in the same probe, the first byte that could belong to a multi-byte
+/// Unicode space (U+0085, U+00A0, U+3000, …), where it must hand over to a
+/// char-based split.
+#[inline]
+pub fn find_space_or_non_ascii(haystack: &[u8]) -> Option<usize> {
+    let len = haystack.len();
+    if len < 8 {
+        return haystack
+            .iter()
+            .position(|&b| b >= 0x80 || b == b' ' || (0x09..=0x0d).contains(&b));
+    }
+    let mut i = 0;
+    while i + 8 <= len {
+        let m = space_or_non_ascii_mask(load(&haystack[i..]));
+        if m != 0 {
+            return Some(i + (m.trailing_zeros() / 8) as usize);
+        }
+        i += 8;
+    }
+    if i < len {
+        let m = space_or_non_ascii_mask(load(&haystack[len - 8..]));
+        if m != 0 {
+            return Some(len - 8 + (m.trailing_zeros() / 8) as usize);
+        }
+    }
+    None
+}
+
+/// Per-lane mask of ASCII whitespace (0x09–0x0d, 0x20) and non-ASCII bytes.
+/// Exact in every lane: the range test on the low seven bits may also flag
+/// lanes whose high bit is set, but those lanes are flagged regardless.
+#[inline(always)]
+const fn space_or_non_ascii_mask(w: u64) -> u64 {
+    let low = w & LOW7;
+    let ge_tab = low.wrapping_add(broadcast(0x80 - 0x09)) & HI;
+    let gt_cr = low.wrapping_add(broadcast(0x80 - 0x0e)) & HI;
+    eq_mask(w, b' ') | (ge_tab & !gt_cr) | (w & HI)
+}
+
 /// True iff the slice contains an ASCII uppercase letter (`A`–`Z`).
 /// Equivalent to `haystack.iter().any(u8::is_ascii_uppercase)`.
 #[inline]
@@ -456,6 +501,48 @@ mod tests {
                 naive_find2(h, b'<', b'>'),
                 "{h:?}"
             );
+        }
+    }
+
+    #[test]
+    fn find_space_or_non_ascii_matches_naive() {
+        fn naive(h: &[u8]) -> Option<usize> {
+            h.iter()
+                .position(|&b| b >= 0x80 || b == b' ' || (0x09..=0x0d).contains(&b))
+        }
+        let cases: &[&[u8]] = &[
+            b"",
+            b" ",
+            b"abc",
+            b"abcdefgh",
+            b"abcdefgh ",
+            b"abcdefghijklmno\x0b",
+            b"abcdefg\ttail",
+            b"no-space-in-this-class-name",
+            // 0x08, 0x0e, 0x1f and 0x21 bracket the whitespace range.
+            b"\x08\x0e\x1f\x21\x08\x0e\x1f\x21\x0c",
+            "caf\u{e9} x".as_bytes(),
+            "class-name\u{a0}next".as_bytes(),
+        ];
+        for h in cases {
+            assert_eq!(find_space_or_non_ascii(h), naive(h), "{h:?}");
+        }
+        // Exhaustive over single bytes, in every lane of a 24-byte run
+        // (both full words and the overlapping tail word).
+        for b in 0..=255u8 {
+            for lane in 0..24 {
+                let mut v = vec![b'a'; 24];
+                v[lane] = b;
+                assert_eq!(
+                    find_space_or_non_ascii(&v),
+                    naive(&v),
+                    "byte {b:#x} lane {lane}"
+                );
+                assert_eq!(
+                    find_space_or_non_ascii(&v[..lane + 1]),
+                    naive(&v[..lane + 1])
+                );
+            }
         }
     }
 
