@@ -8,7 +8,7 @@
 
 use crate::context::AccessRequest;
 use rws_domain::DomainName;
-use rws_model::{MemberRole, RwsList};
+use rws_model::{MemberRole, Membership, RwsList};
 use serde::{Deserialize, Serialize};
 
 /// The policy layer's answer to a `requestStorageAccess` call.
@@ -65,6 +65,39 @@ impl VendorPolicy {
         VendorPolicy::Safari,
         VendorPolicy::Brave,
     ];
+
+    /// Decide a `requestStorageAccess` call from the two sites' list
+    /// memberships (`None` for an unlisted site) — the decision core that
+    /// [`verdict`](StorageAccessPolicy::verdict) reaches after its list
+    /// lookups. Callers that resolve memberships once and reuse them (the
+    /// load engine's per-run host table) decide through this directly.
+    pub fn verdict_for(
+        self,
+        top_level: Option<Membership>,
+        embedded: Option<Membership>,
+        has_prior_interaction: bool,
+    ) -> PolicyVerdict {
+        match self {
+            // No partitioning: the API is moot, grants are implicit.
+            VendorPolicy::ChromeLegacy => PolicyVerdict::AutoGrant,
+            VendorPolicy::Brave => PolicyVerdict::Deny,
+            VendorPolicy::Safari => PolicyVerdict::Prompt,
+            VendorPolicy::Firefox => {
+                if has_prior_interaction {
+                    PolicyVerdict::AutoGrant
+                } else {
+                    PolicyVerdict::Prompt
+                }
+            }
+            VendorPolicy::ChromeWithRws => {
+                if rws_grants(top_level, embedded, has_prior_interaction) {
+                    PolicyVerdict::AutoGrant
+                } else {
+                    PolicyVerdict::Prompt
+                }
+            }
+        }
+    }
 }
 
 impl StorageAccessPolicy for VendorPolicy {
@@ -83,26 +116,11 @@ impl StorageAccessPolicy for VendorPolicy {
     }
 
     fn verdict(&self, request: &AccessRequest, list: &RwsList) -> PolicyVerdict {
-        match self {
-            // No partitioning: the API is moot, grants are implicit.
-            VendorPolicy::ChromeLegacy => PolicyVerdict::AutoGrant,
-            VendorPolicy::Brave => PolicyVerdict::Deny,
-            VendorPolicy::Safari => PolicyVerdict::Prompt,
-            VendorPolicy::Firefox => {
-                if request.has_prior_interaction {
-                    PolicyVerdict::AutoGrant
-                } else {
-                    PolicyVerdict::Prompt
-                }
-            }
-            VendorPolicy::ChromeWithRws => {
-                if rws_auto_grant(request, list) {
-                    PolicyVerdict::AutoGrant
-                } else {
-                    PolicyVerdict::Prompt
-                }
-            }
-        }
+        self.verdict_for(
+            list.membership_of(&request.top_level_site),
+            list.membership_of(&request.embedded_site),
+            request.has_prior_interaction,
+        )
     }
 }
 
@@ -115,17 +133,33 @@ impl StorageAccessPolicy for VendorPolicy {
 /// [`AccessRequest::has_prior_interaction`], which the browser sets when any
 /// member of the embedded site's set has been visited first-party.
 pub fn rws_auto_grant(request: &AccessRequest, list: &RwsList) -> bool {
-    if !list.are_related(&request.top_level_site, &request.embedded_site) {
+    rws_grants(
+        list.membership_of(&request.top_level_site),
+        list.membership_of(&request.embedded_site),
+        request.has_prior_interaction,
+    )
+}
+
+/// [`rws_auto_grant`] on already-resolved memberships.
+fn rws_grants(
+    top_level: Option<Membership>,
+    embedded: Option<Membership>,
+    has_prior_interaction: bool,
+) -> bool {
+    let (Some(top_level), Some(embedded)) = (top_level, embedded) else {
+        return false;
+    };
+    if top_level.set != embedded.set {
         return false;
     }
     // The top level of the grant must not be a service site.
-    if list.role_of(&request.top_level_site) == Some(MemberRole::Service) {
+    if top_level.role == MemberRole::Service {
         return false;
     }
     // Service sites as the embedded requester need prior interaction with
     // the set; other member roles are granted outright.
-    if list.role_of(&request.embedded_site) == Some(MemberRole::Service) {
-        return request.has_prior_interaction;
+    if embedded.role == MemberRole::Service {
+        return has_prior_interaction;
     }
     true
 }

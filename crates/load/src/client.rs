@@ -16,13 +16,17 @@
 //! identically whether it is interleaved on the event loop, run on a pool
 //! worker, or replayed alone. That independence is what makes the pooled
 //! and sequential aggregate reports equal field for field.
+//!
+//! A client names hosts and sites only by their [`HostTable`] ids: the
+//! run resolved each name's site, list membership and URLs once, so a
+//! visit does no string work beyond mapping a redirect's landing host
+//! back to its id.
 
 use crate::report::LoadReport;
 use crate::scale::LoadScale;
-use crate::target::LoadTarget;
-use rws_browser::{AccessRequest, StorageAccessPolicy, VendorPolicy};
-use rws_domain::{DomainName, SiteResolver};
-use rws_net::{well_known_path, FetchOutcome, FetchSession, Fetcher, NetError, Response, Url};
+use crate::table::{HostTable, Page};
+use rws_browser::VendorPolicy;
+use rws_net::{FetchOutcome, FetchSession, Fetcher, NetError, Response};
 use rws_stats::{Rng, Xoshiro256StarStar};
 
 /// Simulated keep-alive window: a connection idle longer than this is
@@ -59,10 +63,11 @@ pub struct ClientState {
     clock: u64,
     visits_left: u32,
     accepts_prompts: bool,
-    /// Sites (eTLD+1) visited first-party this session, insertion-ordered.
-    visited_sites: Vec<DomainName>,
-    /// Open simulated connections: `(origin host, last use)`.
-    connections: Vec<(DomainName, u64)>,
+    /// Ids of the sites (eTLD+1) visited first-party this session,
+    /// insertion-ordered.
+    visited_sites: Vec<u32>,
+    /// Open simulated connections: `(origin id, last use)`.
+    connections: Vec<(u32, u64)>,
     /// The client's fetch session: per-host request ordinals for the fault
     /// plan, the rng stream backoff jitter draws from, and the retry
     /// budget. Derived from `(seed, id)` on its own label so it never
@@ -94,47 +99,58 @@ impl ClientState {
 
     /// Run one visit (page fetch, optional `.well-known` probe, think
     /// time). Returns `true` while the session has more visits to run.
+    ///
+    /// A successful page decides partitioning on its landing host. A
+    /// redirect can land on a host outside `table` only when `fetcher`
+    /// serves a different web than the table was built from; that
+    /// response is tallied and its decision skipped.
     pub fn step(
         &mut self,
         scale: &LoadScale,
-        target: &LoadTarget,
-        resolver: &SiteResolver,
+        table: &HostTable,
         fetcher: &Fetcher,
         report: &mut LoadReport,
     ) -> bool {
-        let host = self.pick_host(target);
-        if target.is_poisoned(&host) {
-            panic!("poisoned work item: {host}");
+        let host = self.pick_host(table);
+        if table.is_poisoned(host) {
+            panic!("poisoned work item: {}", table.name(host));
         }
-        let path = if self.rng.chance(P_ABOUT) {
-            "/about"
+        let page = if self.rng.chance(P_ABOUT) {
+            Page::About
         } else {
-            "/"
+            Page::Root
         };
         let head = self.rng.chance(P_HEAD);
-        let url = Url::https(&host, path);
-        let connect_cost = self.connect(&host, report);
+        let url = table.page_url(host, page);
+        let connect_cost = self.connect(host, report);
 
         report.fetch_calls += 1;
         let outcome = if head {
             report.heads += 1;
-            fetcher.head_with(&url, &mut self.session)
+            fetcher.head_with(url, &mut self.session)
         } else {
             report.gets += 1;
-            fetcher.get_with(&url, &mut self.session)
+            fetcher.get_with(url, &mut self.session)
         };
-        if let Some(resp) = self.note_outcome(&host, connect_cost, outcome, report) {
+        if let Some(resp) = self.note_outcome(host, connect_cost, outcome, report) {
             if resp.status.is_success() {
                 // The landing host (after redirects) is the page the
                 // user is on; decide partitioning there.
-                let top_site = resolver.site_or_self(&resp.url.host);
-                self.decide_partitioning(&top_site, target, resolver, report);
-                self.note_visited(top_site);
+                let landing = if resp.redirects_followed == 0 {
+                    Some(host)
+                } else {
+                    table.id_of(&resp.url.host)
+                };
+                if let Some(landing) = landing {
+                    let top_site = table.site_of(landing);
+                    self.decide_partitioning(top_site, table, report);
+                    self.note_visited(top_site);
+                }
             }
         }
 
         if self.rng.chance(P_WELL_KNOWN) {
-            self.probe_well_known(&host, resolver, fetcher, report);
+            self.probe_well_known(host, table, fetcher, report);
         }
 
         let think = self
@@ -149,19 +165,18 @@ impl ClientState {
     /// with no partitioning decision (it is machine traffic, not a page).
     fn probe_well_known(
         &mut self,
-        host: &DomainName,
-        resolver: &SiteResolver,
+        host: u32,
+        table: &HostTable,
         fetcher: &Fetcher,
         report: &mut LoadReport,
     ) {
-        let site = resolver.site_or_self(host);
-        let url = well_known_path(&site);
-        let connect_cost = self.connect(&site, report);
+        let site = table.site_of(host);
+        let connect_cost = self.connect(site, report);
         report.well_known_probes += 1;
         report.fetch_calls += 1;
         report.gets += 1;
-        let outcome = fetcher.get_with(&url, &mut self.session);
-        self.note_outcome(&site, connect_cost, outcome, report);
+        let outcome = fetcher.get_with(table.page_url(site, Page::WellKnown), &mut self.session);
+        self.note_outcome(site, connect_cost, outcome, report);
     }
 
     /// Fold a fetch outcome into the report and the clock: retry and
@@ -171,7 +186,7 @@ impl ClientState {
     /// slot. Returns the response, if one arrived.
     fn note_outcome(
         &mut self,
-        origin: &DomainName,
+        origin: u32,
         connect_cost: u64,
         outcome: FetchOutcome,
         report: &mut LoadReport,
@@ -216,13 +231,14 @@ impl ClientState {
     }
 
     /// Close the simulated connection to `origin`, if one is open.
-    fn drop_connection(&mut self, origin: &DomainName) {
-        self.connections.retain(|(h, _)| h != origin);
+    fn drop_connection(&mut self, origin: u32) {
+        self.connections.retain(|&(h, _)| h != origin);
     }
 
-    /// Origins with an open simulated connection (test observability).
-    pub fn open_connections(&self) -> Vec<DomainName> {
-        self.connections.iter().map(|(h, _)| h.clone()).collect()
+    /// Ids of the origins with an open simulated connection (test
+    /// observability).
+    pub fn open_connections(&self) -> Vec<u32> {
+        self.connections.iter().map(|&(h, _)| h).collect()
     }
 
     /// Tally a response and advance the simulated clock by its latency.
@@ -243,47 +259,41 @@ impl ClientState {
 
     /// Evaluate a `requestStorageAccess`-style decision for every vendor
     /// policy against this page load.
-    fn decide_partitioning(
-        &mut self,
-        top_site: &DomainName,
-        target: &LoadTarget,
-        resolver: &SiteResolver,
-        report: &mut LoadReport,
-    ) {
+    fn decide_partitioning(&mut self, top_site: u32, table: &HostTable, report: &mut LoadReport) {
         let embedded_site = if !self.visited_sites.is_empty() && self.rng.chance(P_EMBED_VISITED) {
             let i = self.rng.range_usize(0, self.visited_sites.len());
-            self.visited_sites[i].clone()
+            self.visited_sites[i]
         } else {
-            let i = self.rng.range_usize(0, target.hosts().len());
-            resolver.site_or_self(&target.hosts()[i])
+            let i = self.rng.range_usize(0, table.universe_len());
+            table.site_of(i as u32)
         };
-        let has_prior_interaction = self.has_interacted_with(&embedded_site, target);
-        let request = AccessRequest {
-            top_level_site: top_site.clone(),
-            embedded_site,
-            has_prior_interaction,
-        };
+        let has_prior_interaction = self.has_interacted_with(embedded_site, table);
+        let top = table.membership(top_site);
+        let embedded = table.membership(embedded_site);
         report.decisions += 1;
         for (slot, vendor) in VendorPolicy::ALL.iter().enumerate() {
-            let verdict = vendor.verdict(&request, target.list());
+            let verdict = vendor.verdict_for(top, embedded, has_prior_interaction);
             report.vendors[slot].record(verdict, self.accepts_prompts);
         }
     }
 
     /// Whether the client has visited `site` — or, mirroring the browser
     /// model, any member of `site`'s RWS set — first-party this session.
-    fn has_interacted_with(&self, site: &DomainName, target: &LoadTarget) -> bool {
-        if self.visited_sites.contains(site) {
+    fn has_interacted_with(&self, site: u32, table: &HostTable) -> bool {
+        if self.visited_sites.contains(&site) {
             return true;
         }
-        target
-            .list()
-            .set_for(site)
-            .map(|set| set.domains().iter().any(|d| self.visited_sites.contains(d)))
-            .unwrap_or(false)
+        let Some(membership) = table.membership(site) else {
+            return false;
+        };
+        self.visited_sites.iter().any(|&visited| {
+            table
+                .membership(visited)
+                .is_some_and(|m| m.set == membership.set)
+        })
     }
 
-    fn note_visited(&mut self, site: DomainName) {
+    fn note_visited(&mut self, site: u32) {
         if !self.visited_sites.contains(&site) {
             self.visited_sites.push(site);
         }
@@ -292,23 +302,23 @@ impl ClientState {
     /// Pick the next host: a vanity redirect entry sometimes, otherwise a
     /// skew-toward-the-front draw over the deterministic host order (a
     /// stand-in for a popularity distribution).
-    fn pick_host(&mut self, target: &LoadTarget) -> DomainName {
-        if !target.vanity().is_empty() && self.rng.chance(P_VANITY) {
-            let i = self.rng.range_usize(0, target.vanity().len());
-            return target.vanity()[i].clone();
+    fn pick_host(&mut self, table: &HostTable) -> u32 {
+        let vanity = table.vanity();
+        if !vanity.is_empty() && self.rng.chance(P_VANITY) {
+            let i = self.rng.range_usize(0, vanity.len());
+            return vanity[i];
         }
-        let n = target.hosts().len();
+        let n = table.universe_len();
         let u = self.rng.next_f64();
-        let i = ((u * u * n as f64) as usize).min(n - 1);
-        target.hosts()[i].clone()
+        ((u * u * n as f64) as usize).min(n - 1) as u32
     }
 
     /// Simulated connection management: reuse within the keep-alive
     /// window is free, everything else pays the setup cost. Returns the
     /// cost to add to the response latency.
-    fn connect(&mut self, origin: &DomainName, report: &mut LoadReport) -> u64 {
+    fn connect(&mut self, origin: u32, report: &mut LoadReport) -> u64 {
         let now = self.clock;
-        if let Some(slot) = self.connections.iter_mut().find(|(h, _)| h == origin) {
+        if let Some(slot) = self.connections.iter_mut().find(|(h, _)| *h == origin) {
             let idle = now.saturating_sub(slot.1);
             slot.1 = now;
             if idle <= KEEPALIVE_MS {
@@ -329,7 +339,7 @@ impl ClientState {
                 .unwrap_or(0);
             self.connections.swap_remove(oldest);
         }
-        self.connections.push((origin.clone(), now));
+        self.connections.push((origin, now));
         report.connections_opened += 1;
         CONNECT_COST_MS
     }
@@ -338,6 +348,70 @@ impl ClientState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::target::LoadTarget;
+    use rws_domain::{DomainName, SiteResolver};
+    use rws_model::RwsList;
+    use rws_net::{PageContent, SimulatedWeb, SiteHost};
+
+    fn page_host(name: &str) -> SiteHost {
+        let mut host = SiteHost::new(name).unwrap();
+        host.add_page("/", "<html><body>page</body></html>");
+        host.add_page("/about", "<html><body>about</body></html>");
+        host
+    }
+
+    /// Drive one client's whole session through `fetcher`.
+    fn run_session(table: &HostTable, fetcher: &Fetcher) -> LoadReport {
+        let scale = LoadScale {
+            clients: 1,
+            mean_visits: 30,
+            think_time_ms: 10,
+            ramp_ms: 1,
+        };
+        let mut client = ClientState::new(5, 0, &scale);
+        let mut report = LoadReport::new();
+        while client.step(&scale, table, fetcher, &mut report) {}
+        report
+    }
+
+    #[test]
+    fn landing_outside_the_table_is_tallied_without_a_decision() {
+        let mut web = SimulatedWeb::new();
+        web.register(page_host("home.com"));
+        let target = LoadTarget::from_frozen(web.freeze(), RwsList::default());
+        let table = HostTable::new(&target, &SiteResolver::full());
+
+        // Against the target's own web every served page is decided on.
+        let home = run_session(&table, &target.fetcher());
+        assert!(home.status_2xx > 0);
+        assert!(home.decisions > 0);
+
+        // A web where home.com's pages redirect to a host the table never
+        // saw: the responses still count, the decisions are skipped.
+        let mut moved = SimulatedWeb::new();
+        let mut redirecting = SiteHost::new("home.com").unwrap();
+        for path in ["/", "/about"] {
+            redirecting.add_content(
+                path,
+                PageContent::Redirect {
+                    location: format!("https://elsewhere.com{path}"),
+                    permanent: true,
+                },
+            );
+        }
+        moved.register(redirecting);
+        moved.register(page_host("elsewhere.com"));
+        assert_eq!(
+            table.id_of(&DomainName::parse("elsewhere.com").unwrap()),
+            None
+        );
+        let away = run_session(&table, &Fetcher::new(moved));
+        assert_eq!(away.responses() + away.error_count(), away.fetch_calls);
+        assert!(away.redirects_followed > 0);
+        assert!(away.status_2xx > 0);
+        assert_eq!(away.decisions, 0);
+        assert!(away.vendors.iter().all(|tally| tally.decisions() == 0));
+    }
 
     #[test]
     fn client_rng_depends_only_on_seed_and_id() {

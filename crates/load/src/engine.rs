@@ -3,6 +3,7 @@
 use crate::client::ClientState;
 use crate::report::LoadReport;
 use crate::scale::LoadScale;
+use crate::table::HostTable;
 use crate::target::LoadTarget;
 use rws_domain::SiteResolver;
 use rws_engine::{EngineBackend, EngineContext, SupervisionPolicy};
@@ -96,7 +97,7 @@ impl LoadEngine {
     /// sum to the same totals, so salvage output is byte-identical to
     /// fail-fast — a pinned property.
     pub fn run_on<E: EngineBackend>(&self, seed: u64, ctx: &E) -> LoadReport {
-        let resolver = ctx.resolver();
+        let table = HostTable::new(&self.target, ctx.resolver());
         let chunks = self.chunk_spans();
         let mut merged = LoadReport::new();
         let sweep = match ctx.supervision() {
@@ -105,7 +106,7 @@ impl LoadEngine {
                 let (partials, sweep) =
                     ctx.par_map_sweep_at("load-chunk", 0, &chunks, |_, &(lo, hi)| {
                         let worker_fetcher = fetcher.clone();
-                        self.run_chunk(seed, lo, hi, resolver, &worker_fetcher)
+                        self.run_chunk(seed, lo, hi, &table, &worker_fetcher)
                     });
                 for partial in partials.into_iter().flatten() {
                     merged.merge(&partial);
@@ -117,7 +118,7 @@ impl LoadEngine {
                 let (partials, sweep) =
                     ctx.par_map_sweep_at("load-chunk", 0, &chunks, |_, &(lo, hi)| {
                         let worker_fetcher = self.target.fetcher();
-                        let mut partial = self.run_chunk(seed, lo, hi, resolver, &worker_fetcher);
+                        let mut partial = self.run_chunk(seed, lo, hi, &table, &worker_fetcher);
                         partial.wire_requests = worker_fetcher.requests_issued() as u64;
                         partial
                     });
@@ -204,7 +205,7 @@ impl LoadEngine {
         start_chunk: usize,
         mut merged: LoadReport,
     ) -> LoadReport {
-        let resolver = ctx.resolver();
+        let table = HostTable::new(&self.target, ctx.resolver());
         let chunks = self.chunk_spans();
         let every = every.max(1);
         let mut next = start_chunk.min(chunks.len());
@@ -214,7 +215,7 @@ impl LoadEngine {
             let (partials, sweep) =
                 ctx.par_map_sweep_at("load-chunk", next, window, |_, &(lo, hi)| {
                     let worker_fetcher = self.target.fetcher();
-                    let mut partial = self.run_chunk(seed, lo, hi, resolver, &worker_fetcher);
+                    let mut partial = self.run_chunk(seed, lo, hi, &table, &worker_fetcher);
                     partial.wire_requests = worker_fetcher.requests_issued() as u64;
                     partial
                 });
@@ -244,7 +245,7 @@ impl LoadEngine {
         seed: u64,
         lo: u32,
         hi: u32,
-        resolver: &SiteResolver,
+        table: &HostTable,
         fetcher: &Fetcher,
     ) -> LoadReport {
         let mut report = LoadReport::new();
@@ -261,7 +262,7 @@ impl LoadEngine {
         }
         while let Some(Reverse((_, slot))) = heap.pop() {
             let st = &mut states[slot as usize];
-            if st.step(&self.scale, &self.target, resolver, fetcher, &mut report) {
+            if st.step(&self.scale, table, fetcher, &mut report) {
                 heap.push(Reverse((st.clock(), slot)));
             } else {
                 report.sessions += 1;
@@ -280,12 +281,13 @@ impl LoadEngine {
     /// Sequential replay against an explicit resolver (tests that force a
     /// particular pool/resolver pairing use this to match contexts).
     pub fn replay_sequential_with(&self, seed: u64, resolver: &SiteResolver) -> LoadReport {
+        let table = HostTable::new(&self.target, resolver);
         let fetcher = self.target.fetcher();
         let mut report = LoadReport::new();
         for id in 0..self.scale.clients as u32 {
             let mut st = ClientState::new(seed, id, &self.scale);
             report.sim_start_ms = report.sim_start_ms.min(st.clock());
-            while st.step(&self.scale, &self.target, resolver, &fetcher, &mut report) {}
+            while st.step(&self.scale, &table, &fetcher, &mut report) {}
             report.sessions += 1;
             report.sim_end_ms = report.sim_end_ms.max(st.clock());
         }

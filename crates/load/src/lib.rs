@@ -25,6 +25,20 @@
 //! * a simulated clock: per-response `latency_ms` accumulation, simulated
 //!   connection setup and keep-alive reuse, exponential think time.
 //!
+//! Every run starts by building one [`HostTable`] from its own
+//! [`SiteResolver`](rws_domain::SiteResolver) and the target's RWS list.
+//! Each name a client can touch — every browsable host, every vanity
+//! entry host and every host's site — gets a dense `u32` id holding its
+//! site's id, its list [`Membership`](rws_model::Membership) (set and
+//! role) and prebuilt `/`, `/about` and `.well-known` URLs. Clients pick
+//! hosts, keep connections and visited sites, and decide partitioning
+//! ([`VendorPolicy::verdict_for`](rws_browser::VendorPolicy::verdict_for))
+//! on ids alone: the resolver is asked once per name per run, not once
+//! per visit. Only a redirect's landing host is mapped back to its id; a
+//! landing host missing from the table (possible only when the fetcher
+//! serves a different web than the target) is tallied without a
+//! decision.
+//!
 //! Clients run over a simulated-clock event loop (a binary heap of
 //! next-action times) in fixed chunks fanned out on the pool. All
 //! aggregation is integer arithmetic into a mergeable
@@ -76,11 +90,13 @@ pub mod client;
 pub mod engine;
 pub mod report;
 pub mod scale;
+mod table;
 pub mod target;
 
 pub use engine::{LoadCheckpoint, LoadEngine};
 pub use report::{LoadReport, VendorTally};
 pub use scale::LoadScale;
+pub use table::HostTable;
 pub use target::LoadTarget;
 
 // Resilience knobs, re-exported so load consumers (tests, benches) can

@@ -119,11 +119,6 @@ impl LoadTarget {
         self
     }
 
-    /// True if visiting this host should panic the client.
-    pub fn is_poisoned(&self, host: &DomainName) -> bool {
-        self.poison.contains(host)
-    }
-
     /// The poisoned hosts, if any.
     pub fn poison_hosts(&self) -> &[DomainName] {
         &self.poison

@@ -41,7 +41,7 @@ pub mod well_known;
 
 pub use error::SetError;
 pub use json::{list_from_json, list_to_json};
-pub use list::RwsList;
+pub use list::{Membership, RwsList};
 pub use set::{MemberRole, RwsSet, SetMember};
 pub use snapshot::{ListSnapshot, SnapshotSeries, SubsetCounts};
 pub use validation::{

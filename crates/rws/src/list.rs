@@ -15,9 +15,20 @@ use std::collections::BTreeMap;
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RwsList {
     sets: Vec<RwsSet>,
-    /// Index from member domain to position in `sets`.
+    /// Index from member domain to its set position and role.
     #[serde(skip)]
-    index: BTreeMap<DomainName, usize>,
+    index: BTreeMap<DomainName, Membership>,
+}
+
+/// Where a listed domain sits: the position of its set (in
+/// [`RwsList::sets`] order) and the role it plays there. Two domains are
+/// related exactly when their memberships name the same set.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Membership {
+    /// Position of the domain's set in the list.
+    pub set: usize,
+    /// The domain's role within that set.
+    pub role: MemberRole,
 }
 
 impl RwsList {
@@ -45,10 +56,7 @@ impl RwsList {
                 });
             }
         }
-        let idx = self.sets.len();
-        for domain in set.domains() {
-            self.index.insert(domain, idx);
-        }
+        index_members(&mut self.index, self.sets.len(), &set);
         self.sets.push(set);
         Ok(())
     }
@@ -58,9 +66,7 @@ impl RwsList {
     pub fn rebuild_index(&mut self) {
         self.index.clear();
         for (idx, set) in self.sets.iter().enumerate() {
-            for domain in set.domains() {
-                self.index.insert(domain, idx);
-            }
+            index_members(&mut self.index, idx, set);
         }
     }
 
@@ -81,7 +87,14 @@ impl RwsList {
 
     /// The set containing a domain, if any.
     pub fn set_for(&self, domain: &DomainName) -> Option<&RwsSet> {
-        self.index.get(domain).map(|&i| &self.sets[i])
+        self.index.get(domain).map(|m| &self.sets[m.set])
+    }
+
+    /// The set position and role of a domain, if it is listed: one index
+    /// lookup answering both [`set_index_of`](Self::set_index_of) and
+    /// [`role_of`](Self::role_of).
+    pub fn membership_of(&self, domain: &DomainName) -> Option<Membership> {
+        self.index.get(domain).copied()
     }
 
     /// The position (in [`sets`](Self::sets) order) of the set containing a
@@ -89,7 +102,7 @@ impl RwsList {
     /// same `Some` index — precomputing this per domain turns the pair
     /// universe's O(members²) relatedness sweep into integer compares.
     pub fn set_index_of(&self, domain: &DomainName) -> Option<usize> {
-        self.index.get(domain).copied()
+        self.index.get(domain).map(|m| m.set)
     }
 
     /// The set whose primary is the given domain, if any.
@@ -99,7 +112,7 @@ impl RwsList {
 
     /// The role a domain plays in the list, if it is a member of any set.
     pub fn role_of(&self, domain: &DomainName) -> Option<MemberRole> {
-        self.set_for(domain).and_then(|set| set.role_of(domain))
+        self.index.get(domain).map(|m| m.role)
     }
 
     /// True if the two domains are members of the same set — the core
@@ -107,7 +120,7 @@ impl RwsList {
     /// auto-grants.
     pub fn are_related(&self, a: &DomainName, b: &DomainName) -> bool {
         match (self.index.get(a), self.index.get(b)) {
-            (Some(ia), Some(ib)) => ia == ib,
+            (Some(ma), Some(mb)) => ma.set == mb.set,
             _ => false,
         }
     }
@@ -132,6 +145,21 @@ impl RwsList {
             }
         }
         out
+    }
+}
+
+/// Index every member of `set` (at list position `idx`) with its role.
+///
+/// A deserialized set can list one domain under two roles; members are
+/// inserted in reverse so the role [`RwsSet::role_of`] reports (primary
+/// first, ccTLD last) is the one that stays.
+fn index_members(index: &mut BTreeMap<DomainName, Membership>, idx: usize, set: &RwsSet) {
+    for member in set.members().into_iter().rev() {
+        let membership = Membership {
+            set: idx,
+            role: member.role,
+        };
+        index.insert(member.domain, membership);
     }
 }
 
@@ -179,6 +207,14 @@ mod tests {
         assert_eq!(list.role_of(&dn("yastatic.net")), Some(MemberRole::Service));
         assert_eq!(list.role_of(&dn("ya.ru")), Some(MemberRole::Primary));
         assert_eq!(list.role_of(&dn("unknown.com")), None);
+        assert_eq!(
+            list.membership_of(&dn("yastatic.net")),
+            Some(Membership {
+                set: 1,
+                role: MemberRole::Service
+            })
+        );
+        assert_eq!(list.membership_of(&dn("unknown.com")), None);
     }
 
     #[test]
@@ -222,6 +258,21 @@ mod tests {
         restored.rebuild_index();
         assert!(restored.are_related(&dn("bild.de"), &dn("autobild.de")));
         assert_eq!(restored.set_count(), 2);
+    }
+
+    #[test]
+    fn indexed_role_of_a_domain_listed_twice_matches_the_set_scan() {
+        // bild.de becomes both the primary and an associated site of its
+        // set, which the builder rejects but deserialization admits.
+        let json = serde_json::to_string(&sample_list())
+            .unwrap()
+            .replace("autobild.de", "bild.de");
+        let mut list: RwsList = serde_json::from_str(&json).unwrap();
+        list.rebuild_index();
+        let bild = dn("bild.de");
+        let scanned = list.set_for(&bild).and_then(|s| s.role_of(&bild));
+        assert_eq!(scanned, Some(MemberRole::Primary));
+        assert_eq!(list.role_of(&bild), scanned);
     }
 
     #[test]

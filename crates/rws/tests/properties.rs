@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use rws_domain::DomainName;
-use rws_model::{list_from_json, list_to_json, RwsList, RwsSet, WellKnownFile};
+use rws_model::{list_from_json, list_to_json, MemberRole, RwsList, RwsSet, WellKnownFile};
 
 /// Strategy for distinct bare domain names like `brandXX.com`.
 fn domain_pool(count: usize) -> Vec<String> {
@@ -16,6 +16,17 @@ fn layout_strategy() -> impl Strategy<Value = Vec<(usize, usize)>> {
 }
 
 fn build_list(layout: &[(usize, usize)]) -> RwsList {
+    let with_cctlds: Vec<(usize, usize, usize)> = layout.iter().map(|&(a, s)| (a, s, 0)).collect();
+    build_list_with_cctlds(&with_cctlds)
+}
+
+/// Like [`layout_strategy`], plus a count of ccTLD variants of each
+/// set's primary.
+fn cctld_layout_strategy() -> impl Strategy<Value = Vec<(usize, usize, usize)>> {
+    proptest::collection::vec((0usize..4, 0usize..3, 0usize..3), 1..6)
+}
+
+fn build_list_with_cctlds(layout: &[(usize, usize, usize)]) -> RwsList {
     let mut next = 0usize;
     let pool = domain_pool(200);
     let mut take = || {
@@ -24,8 +35,9 @@ fn build_list(layout: &[(usize, usize)]) -> RwsList {
         d
     };
     let mut sets = Vec::new();
-    for (assoc, service) in layout {
-        let mut set = RwsSet::new(&format!("https://{}", take())).unwrap();
+    for (assoc, service, cctlds) in layout {
+        let primary = take();
+        let mut set = RwsSet::new(&format!("https://{primary}")).unwrap();
         for _ in 0..*assoc {
             set.add_associated(&format!("https://{}", take()), "affiliated brand")
                 .unwrap();
@@ -34,12 +46,50 @@ fn build_list(layout: &[(usize, usize)]) -> RwsList {
             set.add_service(&format!("https://{}", take()), "supporting infrastructure")
                 .unwrap();
         }
+        // Only declare variants when there are some: an empty declaration
+        // still records the base, and `build_list`'s lists declare none.
+        if *cctlds > 0 {
+            let stem = primary.trim_end_matches(".com");
+            let variants: Vec<String> = ["de", "fr"][..*cctlds]
+                .iter()
+                .map(|tld| format!("https://{stem}.{tld}"))
+                .collect();
+            let variants: Vec<&str> = variants.iter().map(String::as_str).collect();
+            set.add_cctld_variants(&format!("https://{primary}"), &variants)
+                .unwrap();
+        }
         sets.push(set);
     }
     RwsList::from_sets(sets).unwrap()
 }
 
 proptest! {
+    /// The indexed role and membership agree with the set's own role scan
+    /// for every listed domain (every role, ccTLD variants included) and
+    /// are absent for an unlisted one.
+    #[test]
+    fn indexed_roles_match_set_scan(layout in cctld_layout_strategy()) {
+        let list = build_list_with_cctlds(&layout);
+        let outsider = DomainName::parse("definitely-not-in-any-set.org").unwrap();
+        let mut domains = list.all_domains();
+        domains.push(outsider.clone());
+        for d in &domains {
+            let scanned = list.set_for(d).and_then(|s| s.role_of(d));
+            prop_assert_eq!(list.role_of(d), scanned);
+            let membership = list.membership_of(d);
+            prop_assert_eq!(membership.map(|m| m.set), list.set_index_of(d));
+            prop_assert_eq!(membership.map(|m| m.role), scanned);
+        }
+        prop_assert_eq!(list.membership_of(&outsider), None);
+        let cctlds: usize = layout.iter().map(|&(_, _, c)| c).sum();
+        let listed_cctlds = list
+            .all_domains()
+            .iter()
+            .filter(|d| list.role_of(d) == Some(MemberRole::Cctld))
+            .count();
+        prop_assert_eq!(listed_cctlds, cctlds);
+    }
+
     /// Relatedness is reflexive for members, symmetric always, and never
     /// holds across different sets.
     #[test]

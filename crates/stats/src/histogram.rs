@@ -98,13 +98,19 @@ impl CategoryCounter {
     }
 
     /// Increment a category by one.
-    pub fn record<S: Into<String>>(&mut self, category: S) {
-        *self.counts.entry(category.into()).or_insert(0) += 1;
+    pub fn record<S: AsRef<str> + Into<String>>(&mut self, category: S) {
+        self.record_n(category, 1);
     }
 
-    /// Increment a category by `n`.
-    pub fn record_n<S: Into<String>>(&mut self, category: S, n: u64) {
-        *self.counts.entry(category.into()).or_insert(0) += n;
+    /// Increment a category by `n`. A category already present is found
+    /// by `&str`; only its first insertion allocates an owned key.
+    pub fn record_n<S: AsRef<str> + Into<String>>(&mut self, category: S, n: u64) {
+        match self.counts.get_mut(category.as_ref()) {
+            Some(count) => *count += n,
+            None => {
+                self.counts.insert(category.into(), n);
+            }
+        }
     }
 
     /// Count for a category (0 if never recorded).
@@ -138,8 +144,8 @@ impl CategoryCounter {
     /// Fold another counter into this one (exact, order-independent — the
     /// load engine merges per-worker error tallies with this).
     pub fn merge(&mut self, other: &CategoryCounter) {
-        for (category, count) in &other.counts {
-            *self.counts.entry(category.clone()).or_insert(0) += count;
+        for (category, &count) in &other.counts {
+            self.record_n(category.as_str(), count);
         }
     }
 }
@@ -193,6 +199,37 @@ mod tests {
         assert_eq!(c.get("missing"), 0);
         assert_eq!(c.total(), 3);
         assert_eq!(c.distinct(), 2);
+    }
+
+    #[test]
+    fn category_counter_repeat_records_keep_counts_and_order() {
+        let mut c = CategoryCounter::new();
+        let owned = String::from("timeout");
+        for _ in 0..3 {
+            c.record("timeout");
+            c.record(owned.clone());
+            c.record(&owned);
+            c.record_n("connection-refused", 2);
+        }
+        c.record_n("host-not-found", 0);
+        c.record("alpha");
+        let mut other = CategoryCounter::new();
+        other.record_n("timeout", 4);
+        other.record("zeta");
+        c.merge(&other);
+        let pairs: Vec<(&str, u64)> = c.iter().collect();
+        assert_eq!(
+            pairs,
+            vec![
+                ("alpha", 1),
+                ("connection-refused", 6),
+                ("host-not-found", 0),
+                ("timeout", 13),
+                ("zeta", 1),
+            ]
+        );
+        assert_eq!(c.total(), 21);
+        assert_eq!(c.distinct(), 5);
     }
 
     #[test]
