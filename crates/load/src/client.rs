@@ -13,20 +13,26 @@
 //!
 //! Every random draw comes from the client's own rng stream, derived from
 //! `(run seed, client id)` — never from shared state — so a client behaves
-//! identically whether it is interleaved on the event loop, run on a pool
-//! worker, or replayed alone. That independence is what makes the pooled
-//! and sequential aggregate reports equal field for field.
+//! identically whichever chunk or pool worker runs it, or when it is
+//! replayed alone. That independence is what makes the pooled and
+//! sequential aggregate reports equal field for field, and what lets the
+//! engine run each client to completion instead of interleaving them.
 //!
 //! A client names hosts and sites only by their [`HostTable`] ids: the
 //! run resolved each name's site, list membership and URLs once, so a
 //! visit does no string work beyond mapping a redirect's landing host
 //! back to its id.
+//!
+//! Fetches go through [`Fetcher::exchange_with`], which reports status,
+//! latency, redirects and a redirect's landing URL without building a
+//! `Response`; on the target's unwritten web a warm, unfaulted hop
+//! allocates nothing and takes no lock.
 
 use crate::report::LoadReport;
 use crate::scale::LoadScale;
 use crate::table::{HostTable, Page};
 use rws_browser::VendorPolicy;
-use rws_net::{FetchOutcome, FetchSession, Fetcher, NetError, Response};
+use rws_net::{Exchange, FetchOutcome, FetchSession, Fetcher, Method, NetError};
 use rws_stats::{Rng, Xoshiro256StarStar};
 
 /// Simulated keep-alive window: a connection idle longer than this is
@@ -125,21 +131,21 @@ impl ClientState {
         let connect_cost = self.connect(host, report);
 
         report.fetch_calls += 1;
-        let outcome = if head {
+        let method = if head {
             report.heads += 1;
-            fetcher.head_with(url, &mut self.session)
+            Method::Head
         } else {
             report.gets += 1;
-            fetcher.get_with(url, &mut self.session)
+            Method::Get
         };
-        if let Some(resp) = self.note_outcome(host, connect_cost, outcome, report) {
-            if resp.status.is_success() {
+        let outcome = fetcher.exchange_with(method, url, &mut self.session);
+        if let Some(exchange) = self.note_outcome(host, connect_cost, outcome, report) {
+            if exchange.status.is_success() {
                 // The landing host (after redirects) is the page the
                 // user is on; decide partitioning there.
-                let landing = if resp.redirects_followed == 0 {
-                    Some(host)
-                } else {
-                    table.id_of(&resp.url.host)
+                let landing = match &exchange.landing {
+                    None => Some(host),
+                    Some(url) => table.id_of(&url.host),
                 };
                 if let Some(landing) = landing {
                     let top_site = table.site_of(landing);
@@ -175,7 +181,8 @@ impl ClientState {
         report.well_known_probes += 1;
         report.fetch_calls += 1;
         report.gets += 1;
-        let outcome = fetcher.get_with(table.page_url(site, Page::WellKnown), &mut self.session);
+        let url = table.page_url(site, Page::WellKnown);
+        let outcome = fetcher.exchange_with(Method::Get, url, &mut self.session);
         self.note_outcome(site, connect_cost, outcome, report);
     }
 
@@ -183,14 +190,14 @@ impl ClientState {
     /// backoff accounting, error tallies, and — on transport-level failure
     /// — eviction of the (now known dead) simulated connection, so a host
     /// going offline mid-run cannot keep serving through a stale keep-alive
-    /// slot. Returns the response, if one arrived.
+    /// slot. Returns the exchange, if a response arrived.
     fn note_outcome(
         &mut self,
         origin: u32,
         connect_cost: u64,
-        outcome: FetchOutcome,
+        outcome: FetchOutcome<Exchange>,
         report: &mut LoadReport,
-    ) -> Option<Response> {
+    ) -> Option<Exchange> {
         let retries = u64::from(outcome.retries());
         report.retries += retries;
         report.backoff_ms_total += outcome.backoff_ms;
@@ -198,18 +205,18 @@ impl ClientState {
         // between attempts passes on the client's simulated clock.
         self.clock += retries * ERROR_COST_MS + outcome.backoff_ms;
         match outcome.result {
-            Ok(resp) => {
+            Ok(exchange) => {
                 if retries > 0 {
                     report.retry_successes += 1;
                     report.time_to_first_success.record(
                         retries * ERROR_COST_MS
                             + outcome.backoff_ms
                             + connect_cost
-                            + resp.latency_ms,
+                            + exchange.latency_ms,
                     );
                 }
-                self.observe(&resp, connect_cost, report);
-                Some(resp)
+                self.observe(&exchange, connect_cost, report);
+                Some(exchange)
             }
             Err(err) => {
                 if retries > 0 {
@@ -242,16 +249,16 @@ impl ClientState {
     }
 
     /// Tally a response and advance the simulated clock by its latency.
-    fn observe(&mut self, resp: &Response, connect_cost: u64, report: &mut LoadReport) {
-        let latency = resp.latency_ms + connect_cost;
+    fn observe(&mut self, exchange: &Exchange, connect_cost: u64, report: &mut LoadReport) {
+        let latency = exchange.latency_ms + connect_cost;
         report.latency.record(latency);
         report.total_latency_ms += latency;
-        report.redirects_followed += resp.redirects_followed as u64;
-        if resp.status.is_success() {
+        report.redirects_followed += exchange.redirects_followed as u64;
+        if exchange.status.is_success() {
             report.status_2xx += 1;
-        } else if resp.status.is_client_error() {
+        } else if exchange.status.is_client_error() {
             report.status_4xx += 1;
-        } else if resp.status.is_server_error() {
+        } else if exchange.status.is_server_error() {
             report.status_5xx += 1;
         }
         self.clock += latency;

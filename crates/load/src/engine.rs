@@ -1,4 +1,5 @@
-//! The load engine: chunked event loops fanned out on the pool.
+//! The load engine: client chunks, each run to completion, fanned out on
+//! the pool.
 
 use crate::client::ClientState;
 use crate::report::LoadReport;
@@ -11,8 +12,6 @@ use rws_net::Fetcher;
 use rws_stats::checkpoint::CheckpointSink;
 use rws_stats::supervision::Quarantine;
 use serde::{Deserialize, Serialize};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// Clients per pool task. Coarse enough that task dispatch is noise,
 /// fine enough that the pool has parallelism to steal at smoke scale.
@@ -38,18 +37,18 @@ pub struct LoadCheckpoint {
 ///
 /// Two execution paths produce the same [`LoadReport`] field for field:
 ///
-/// * [`run_on`](LoadEngine::run_on) — clients in fixed chunks, each chunk
-///   interleaved on a simulated-clock event loop (a min-heap of next
-///   action times), chunks fanned out on the [`EngineContext`] pool, and
-///   per-chunk partial reports merged with integer arithmetic;
+/// * [`run_on`](LoadEngine::run_on) — clients in fixed chunks fanned out
+///   on the [`EngineContext`] pool, each chunk running its clients to
+///   completion one after another, and per-chunk partial reports merged
+///   with integer arithmetic;
 /// * [`replay_sequential`](LoadEngine::replay_sequential) — the oracle:
-///   one client at a time, run to completion in a plain loop, no heap and
-///   no pool.
+///   every client run to completion on one fetcher, no chunks and no pool.
 ///
-/// Equality holds because clients are fully independent (per-client rng
-/// streams, per-client simulated clocks) and every aggregate is an
-/// order-independent integer merge; the property tests pin it across
-/// seeds and forced multi-worker pools.
+/// Both run a client through the same per-client function. Equality
+/// holds because clients are fully independent (per-client rng streams,
+/// per-client simulated clocks, per-client fetch sessions) and every
+/// aggregate is an order-independent integer merge; the property tests
+/// pin it across seeds and forced multi-worker pools.
 #[derive(Debug)]
 pub struct LoadEngine {
     target: LoadTarget,
@@ -82,9 +81,9 @@ impl LoadEngine {
         self.run_on(seed, &EngineContext::new())
     }
 
-    /// Run the full fleet on the given context: chunked event loops on the
-    /// pool (or inline when the context is sequential), fanned out under
-    /// the context's [`SupervisionPolicy`].
+    /// Run the full fleet on the given context: client chunks on the pool
+    /// (or inline when the context is sequential), fanned out under the
+    /// context's [`SupervisionPolicy`].
     ///
     /// Under the default fail-fast policy each chunk clones one shared
     /// fetcher (same family-wide request counter, its own uncontended
@@ -237,9 +236,8 @@ impl LoadEngine {
         merged
     }
 
-    /// One chunk of clients interleaved on a simulated-clock event loop:
-    /// always advance whichever client acts earliest (ties broken by
-    /// client slot, so the schedule is deterministic).
+    /// One chunk of clients, each run to completion in id order. Clients
+    /// share no mutable state, so interleaving them would change nothing.
     fn run_chunk(
         &self,
         seed: u64,
@@ -249,31 +247,32 @@ impl LoadEngine {
         fetcher: &Fetcher,
     ) -> LoadReport {
         let mut report = LoadReport::new();
-        let mut states: Vec<ClientState> = (lo..hi)
-            .map(|id| ClientState::new(seed, id, &self.scale))
-            .collect();
-        let mut heap: BinaryHeap<Reverse<(u64, u32)>> = states
-            .iter()
-            .enumerate()
-            .map(|(slot, st)| Reverse((st.clock(), slot as u32)))
-            .collect();
-        for st in &states {
-            report.sim_start_ms = report.sim_start_ms.min(st.clock());
-        }
-        while let Some(Reverse((_, slot))) = heap.pop() {
-            let st = &mut states[slot as usize];
-            if st.step(&self.scale, table, fetcher, &mut report) {
-                heap.push(Reverse((st.clock(), slot)));
-            } else {
-                report.sessions += 1;
-                report.sim_end_ms = report.sim_end_ms.max(st.clock());
-            }
+        for id in lo..hi {
+            self.run_client(seed, id, table, fetcher, &mut report);
         }
         report
     }
 
+    /// One client's whole session, tallied into `report` — the unit both
+    /// the chunked runs and the sequential replay are made of.
+    fn run_client(
+        &self,
+        seed: u64,
+        id: u32,
+        table: &HostTable,
+        fetcher: &Fetcher,
+        report: &mut LoadReport,
+    ) {
+        let mut st = ClientState::new(seed, id, &self.scale);
+        report.sim_start_ms = report.sim_start_ms.min(st.clock());
+        while st.step(&self.scale, table, fetcher, report) {}
+        report.sessions += 1;
+        report.sim_end_ms = report.sim_end_ms.max(st.clock());
+    }
+
     /// The property-test oracle: every client replayed to completion one
-    /// at a time, no event loop, no pool. Produces the identical report.
+    /// at a time on one fetcher, no chunks and no pool. Produces the
+    /// identical report.
     pub fn replay_sequential(&self, seed: u64) -> LoadReport {
         self.replay_sequential_with(seed, &SiteResolver::full())
     }
@@ -285,11 +284,7 @@ impl LoadEngine {
         let fetcher = self.target.fetcher();
         let mut report = LoadReport::new();
         for id in 0..self.scale.clients as u32 {
-            let mut st = ClientState::new(seed, id, &self.scale);
-            report.sim_start_ms = report.sim_start_ms.min(st.clock());
-            while st.step(&self.scale, &table, &fetcher, &mut report) {}
-            report.sessions += 1;
-            report.sim_end_ms = report.sim_end_ms.max(st.clock());
+            self.run_client(seed, id, &table, &fetcher, &mut report);
         }
         report.clients = self.scale.clients as u64;
         report.wire_requests = fetcher.requests_issued() as u64;

@@ -39,14 +39,26 @@
 //! serves a different web than the target) is tallied without a
 //! decision.
 //!
-//! Clients run over a simulated-clock event loop (a binary heap of
-//! next-action times) in fixed chunks fanned out on the pool. All
-//! aggregation is integer arithmetic into a mergeable
+//! Clients run in fixed chunks fanned out on the pool; inside a chunk each
+//! client runs to completion before the next starts, through the same
+//! per-client function the sequential replay uses. Clients share no
+//! mutable state, so interleaving them on a simulated clock would change
+//! nothing. All aggregation is integer arithmetic into a mergeable
 //! [`LatencyHistogram`](rws_stats::LatencyHistogram) and counter set, so a
 //! pooled run, its sequential twin, and the straight one-client-at-a-time
 //! [`replay_sequential`](LoadEngine::replay_sequential) oracle produce
 //! *identical* [`LoadReport`]s field for field — property-tested, like
 //! every other pooled subsystem in this workspace.
+//!
+//! A wire hop goes through
+//! [`Fetcher::exchange_with`](rws_net::Fetcher::exchange_with): the
+//! fetcher's one hop loop (redirects, deadline, faults, retries), reduced
+//! to status, latency, redirects and the landing URL when a redirect moved
+//! the request, with no `Response` built. The fetcher reads an *unwritten*
+//! [`SimulatedWeb`](rws_net::SimulatedWeb) — [`LoadTarget::fetcher`]
+//! builds a fresh one over the target's snapshot — which serves straight
+//! from its frozen base without taking the web's lock. A warm, unfaulted
+//! first-hop exchange therefore neither allocates nor locks.
 //!
 //! # Resilience
 //!

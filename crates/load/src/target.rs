@@ -170,7 +170,9 @@ impl LoadTarget {
 
     /// A fresh fetcher over this target: default policy, unlogged (sharded
     /// atomic request accounting), its own counter family — so each run's
-    /// `wire_requests` starts at zero.
+    /// `wire_requests` starts at zero. Its web is built here over the
+    /// target's snapshot and never written, so every read goes straight to
+    /// the snapshot without taking the web's lock.
     pub fn fetcher(&self) -> Fetcher {
         let web = match &self.sharded {
             Some(sharded) => SimulatedWeb::from_sharded(sharded.clone()),

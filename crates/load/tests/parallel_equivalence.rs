@@ -6,10 +6,15 @@
 //! executions must agree **field for field** (`LoadReport` derives a full
 //! `PartialEq`, histogram buckets included):
 //!
-//! * the pooled event-loop run (`run_on` with a pooled context),
+//! * the pooled run (`run_on` with a pooled context: 128-client chunks on
+//!   the pool, each chunk running its clients to completion in id order),
 //! * its sequential twin (`run_on` with `sequential_twin`),
 //! * the straight one-client-at-a-time oracle (`replay_sequential`),
-//!   which shares no event-loop or chunking code with `run_on`.
+//!   which runs every client on one fetcher and shares no chunking,
+//!   sweep or merge code with `run_on` — only the per-client function.
+//!
+//! Every client fetches through `Fetcher::exchange_with` on the target's
+//! unwritten (lock-free) web.
 
 use proptest::prelude::*;
 use rws_corpus::{CorpusConfig, CorpusGenerator};

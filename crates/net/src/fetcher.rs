@@ -9,6 +9,7 @@ use crate::web::{PageContent, ServedPage, SimulatedWeb};
 use bytes::Bytes;
 use parking_lot::Mutex;
 use rws_stats::Rng;
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -386,11 +387,6 @@ impl Fetcher {
         self.execute(Method::Get, url, Some(session))
     }
 
-    /// A single session-aware HEAD attempt.
-    pub fn head_once(&self, url: &Url, session: &mut FetchSession) -> Result<Response, NetError> {
-        self.execute(Method::Head, url, Some(session))
-    }
-
     /// A single session-aware success-requiring GET attempt: 5xx (and any
     /// other non-2xx) surfaces as a retryable-or-not
     /// [`NetError::HttpStatus`], which is what lets the retrying path
@@ -456,18 +452,102 @@ impl Fetcher {
         self.retrying(session, |fetcher, session| fetcher.get_once(url, session))
     }
 
-    /// HEAD with faults and retries.
-    pub fn head_with(&self, url: &Url, session: &mut FetchSession) -> FetchOutcome {
-        self.retrying(session, |fetcher, session| fetcher.head_once(url, session))
+    /// One request with faults and retries, reduced to what a load
+    /// client reads off the wire: status, latency, redirects and, when a
+    /// redirect moved the request, the landing URL. The hop loop is the one
+    /// [`get_with`](Fetcher::get_with) runs — same redirects, deadline,
+    /// faults, retries and error values — but no [`Response`] is built: no
+    /// URL clone until a redirect, no header map, no body handle. A warm,
+    /// unfaulted exchange that answers on its first hop does not allocate.
+    pub fn exchange_with(
+        &self,
+        method: Method,
+        url: &Url,
+        session: &mut FetchSession,
+    ) -> FetchOutcome<Exchange> {
+        self.retrying(session, |fetcher, session| {
+            fetcher
+                .hops(method, url, Some(session))
+                .map(Landed::into_exchange)
+        })
     }
 
+    /// The full-response finisher over [`hops`](Fetcher::hops): headers
+    /// (the path's extra headers plus `Content-Type`), the body shared with
+    /// the interned page, and on HEAD the `Content-Length` GET would have
+    /// returned in place of the body.
     fn execute(
         &self,
         method: Method,
         start: &Url,
-        mut session: Option<&mut FetchSession>,
+        session: Option<&mut FetchSession>,
     ) -> Result<Response, NetError> {
-        let mut current = start.clone();
+        let landed = self.hops(method, start, session)?;
+        let (mut headers, body) = match landed.served {
+            ServedPage::Content {
+                content,
+                extra_headers,
+                ..
+            } => {
+                // The response mutates its headers, so materialise a copy
+                // only when the path registered extra headers — `serve`
+                // itself never cloned the shared map.
+                let mut h = extra_headers
+                    .map(|shared| HeaderMap::clone(&shared))
+                    .unwrap_or_default();
+                // `bytes()` is a refcount bump of the interned page.
+                let body = match content {
+                    PageContent::Html(html) => {
+                        h.set("Content-Type", "text/html; charset=utf-8");
+                        html.bytes()
+                    }
+                    PageContent::Json(json) => {
+                        h.set("Content-Type", "application/json");
+                        json.bytes()
+                    }
+                    PageContent::Text(text) => {
+                        h.set("Content-Type", "text/plain; charset=utf-8");
+                        text.bytes()
+                    }
+                    PageContent::Error { body, .. } => body.bytes(),
+                    // A redirect status is always followed or fails the
+                    // request, so a redirect page never lands.
+                    PageContent::Redirect { .. } => Bytes::new(),
+                };
+                (h, body)
+            }
+            _ => (HeaderMap::new(), Bytes::new()),
+        };
+        // HEAD advertises the length GET would have returned (the body
+        // itself is dropped).
+        let body = if method == Method::Head {
+            headers.set("Content-Length", body.len().to_string());
+            Bytes::new()
+        } else {
+            body
+        };
+        Ok(Response {
+            url: landed.url.into_owned(),
+            status: landed.status,
+            headers,
+            body,
+            latency_ms: landed.latency_ms,
+            redirects_followed: landed.redirects_followed,
+        })
+    }
+
+    /// The one hop loop behind every entry point: HTTPS policy, request
+    /// accounting, the fault overlay, the chain deadline and redirect
+    /// following. The start URL is borrowed until a redirect moves the
+    /// request; the final hop's [`ServedPage`] is handed back for a
+    /// finisher to shape.
+    fn hops<'u>(
+        &self,
+        method: Method,
+        start: &'u Url,
+        mut session: Option<&mut FetchSession>,
+    ) -> Result<Landed<'u>, NetError> {
+        let mut current = Cow::Borrowed(start);
         let mut total_latency: u64 = 0;
         let mut redirects = 0usize;
 
@@ -489,75 +569,36 @@ impl Fetcher {
                 }
                 _ => self.web.serve(&current),
             };
-            // `body` is a refcount bump of the interned page, never a copy.
-            let (status, mut headers, body, latency) = match served {
+            let (status, latency) = match &served {
                 ServedPage::NoSuchHost => {
                     return Err(NetError::HostNotFound {
                         host: current.host.to_string(),
                     })
                 }
-                ServedPage::Refused => {
+                ServedPage::Refused | ServedPage::TlsUnavailable => {
                     return Err(NetError::ConnectionRefused {
                         host: current.host.to_string(),
                     })
                 }
-                ServedPage::TlsUnavailable => {
-                    return Err(NetError::ConnectionRefused {
-                        host: current.host.to_string(),
-                    })
-                }
-                ServedPage::Missing { latency } => (
-                    StatusCode::NOT_FOUND,
-                    HeaderMap::new(),
-                    Bytes::new(),
-                    latency.latency_for(0),
-                ),
+                ServedPage::Missing { latency } => (StatusCode::NOT_FOUND, latency.latency_for(0)),
                 ServedPage::Content {
-                    content,
-                    extra_headers,
-                    latency,
-                } => {
-                    // The response mutates its headers (Content-Type,
-                    // Location), so materialise a copy only when the path
-                    // actually registered extra headers — the shared handle
-                    // itself was never cloned by `serve`.
-                    let mut h = extra_headers
-                        .map(|shared| HeaderMap::clone(&shared))
-                        .unwrap_or_default();
-                    match content {
-                        PageContent::Html(html) => {
-                            let lat = latency.latency_for(html.len());
-                            h.set("Content-Type", "text/html; charset=utf-8");
-                            (StatusCode::OK, h, html.bytes(), lat)
-                        }
-                        PageContent::Json(json) => {
-                            let lat = latency.latency_for(json.len());
-                            h.set("Content-Type", "application/json");
-                            (StatusCode::OK, h, json.bytes(), lat)
-                        }
-                        PageContent::Text(text) => {
-                            let lat = latency.latency_for(text.len());
-                            h.set("Content-Type", "text/plain; charset=utf-8");
-                            (StatusCode::OK, h, text.bytes(), lat)
-                        }
-                        PageContent::Redirect {
-                            location,
-                            permanent,
-                        } => {
-                            let status = if permanent {
-                                StatusCode::MOVED_PERMANENTLY
-                            } else {
-                                StatusCode::FOUND
-                            };
-                            h.set("Location", location.clone());
-                            (status, h, Bytes::new(), latency.latency_for(0))
-                        }
-                        PageContent::Error { status, body } => {
-                            let lat = latency.latency_for(body.len());
-                            (status, h, body.bytes(), lat)
-                        }
+                    content, latency, ..
+                } => match content {
+                    PageContent::Html(body) | PageContent::Json(body) | PageContent::Text(body) => {
+                        (StatusCode::OK, latency.latency_for(body.len()))
                     }
-                }
+                    PageContent::Redirect { permanent, .. } => {
+                        let status = if *permanent {
+                            StatusCode::MOVED_PERMANENTLY
+                        } else {
+                            StatusCode::FOUND
+                        };
+                        (status, latency.latency_for(0))
+                    }
+                    PageContent::Error { status, body } => {
+                        (*status, latency.latency_for(body.len()))
+                    }
+                },
             };
 
             total_latency += latency;
@@ -581,31 +622,76 @@ impl Fetcher {
                         limit: self.policy.max_redirects,
                     });
                 }
-                let location = headers.get("location").unwrap_or("/").to_string();
-                current = current.join(&location)?;
+                current = Cow::Owned(current.join(redirect_target(&served))?);
                 redirects += 1;
                 continue;
             }
 
-            // HEAD advertises the length GET would have returned (the body
-            // itself is dropped) — the interned body makes that length
-            // available without having materialised a copy.
-            let body_bytes = if method == Method::Head {
-                headers.set("Content-Length", body.len().to_string());
-                Bytes::new()
-            } else {
-                body
-            };
-            return Ok(Response {
+            return Ok(Landed {
                 url: current,
                 status,
-                headers,
-                body: body_bytes,
                 latency_ms: total_latency,
                 redirects_followed: redirects,
+                served,
             });
         }
     }
+}
+
+/// Where a redirect-status answer points: a redirect page's `location`,
+/// otherwise (an error page served with a 3xx status) the path's
+/// `Location` extra header, otherwise `/`.
+fn redirect_target(served: &ServedPage) -> &str {
+    match served {
+        ServedPage::Content {
+            content: PageContent::Redirect { location, .. },
+            ..
+        } => location,
+        ServedPage::Content {
+            extra_headers: Some(headers),
+            ..
+        } => headers.get("location").unwrap_or("/"),
+        _ => "/",
+    }
+}
+
+/// The final hop of a request, before a finisher shapes it.
+struct Landed<'u> {
+    /// The start URL, owned only once a redirect moved the request.
+    url: Cow<'u, Url>,
+    status: StatusCode,
+    latency_ms: u64,
+    redirects_followed: usize,
+    served: ServedPage,
+}
+
+impl Landed<'_> {
+    fn into_exchange(self) -> Exchange {
+        Exchange {
+            status: self.status,
+            latency_ms: self.latency_ms,
+            redirects_followed: self.redirects_followed,
+            landing: match self.url {
+                Cow::Owned(url) => Some(url),
+                Cow::Borrowed(_) => None,
+            },
+        }
+    }
+}
+
+/// What [`Fetcher::exchange_with`] reports of one request: the parts of a
+/// [`Response`] a load client reads, without headers or body.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Exchange {
+    /// Status of the final hop.
+    pub status: StatusCode,
+    /// Simulated latency of the whole chain, in milliseconds.
+    pub latency_ms: u64,
+    /// Redirects followed to reach the final hop.
+    pub redirects_followed: usize,
+    /// The URL that answered, set only when a redirect moved the request
+    /// (the start URL answered otherwise).
+    pub landing: Option<Url>,
 }
 
 #[cfg(test)]

@@ -53,7 +53,7 @@ pub mod well_known;
 
 pub use error::NetError;
 pub use fault::{Fault, FaultInjector, FaultPlan, FaultScale, FetchSession};
-pub use fetcher::{FetchOutcome, FetchPolicy, Fetcher, RetryPolicy};
+pub use fetcher::{Exchange, FetchOutcome, FetchPolicy, Fetcher, RetryPolicy};
 pub use headers::HeaderMap;
 pub use message::{Method, Request, Response, StatusCode};
 pub use store::{ShardedFrozenWeb, StoreStats};

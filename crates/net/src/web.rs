@@ -26,7 +26,10 @@
 //!   frozen base: post-freeze registrations (the governance replay's defect
 //!   hosts) and copy-on-write [`update_host`](SimulatedWeb::update_host)
 //!   mutations land in the overlay, while the frozen snapshot — and every
-//!   borrowed view taken from it — stays valid and unchanged.
+//!   borrowed view taken from it — stays valid and unchanged;
+//! * until the first write, a `SimulatedWeb` reads its construction-time
+//!   base directly, without its lock — so the fresh webs load fetchers
+//!   read through never contend on it.
 
 use crate::headers::HeaderMap;
 use crate::message::StatusCode;
@@ -37,7 +40,8 @@ use parking_lot::RwLock;
 use rws_domain::DomainName;
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, RwLockWriteGuard};
 
 /// An interned, immutable page body: UTF-8 text backed by a refcounted
 /// [`Bytes`] buffer. Cloning is O(1); [`as_str`](PageBody::as_str) borrows
@@ -566,9 +570,30 @@ struct WebState {
 }
 
 impl WebState {
+    /// A state reading straight through to `base`.
+    fn over(base: FrozenBase) -> WebState {
+        WebState {
+            base,
+            overlay: HashMap::new(),
+        }
+    }
+
     fn host(&self, host: &DomainName) -> Option<&SiteHost> {
         self.overlay.get(host).or_else(|| self.base.host(host))
     }
+}
+
+/// What every clone of a [`SimulatedWeb`] shares.
+#[derive(Debug, Default)]
+struct WebShared {
+    /// The web as it was built: its frozen base under an empty overlay.
+    /// Reads use it, without the lock, until the first write.
+    initial: WebState,
+    /// Set (Release) by every mutating method before it takes the write
+    /// lock; reads check it (Acquire) to choose `initial` or `state`.
+    written: AtomicBool,
+    /// The live state, guarded, once anything was written.
+    state: RwLock<WebState>,
 }
 
 /// The registry of every host in the simulated web.
@@ -578,9 +603,19 @@ impl WebState {
 /// browser engine simultaneously. [`freeze`](SimulatedWeb::freeze) snapshots
 /// the current hosts into an immutable [`FrozenWeb`]; later writes go to a
 /// mutable overlay shared by every clone, leaving the snapshot untouched.
+///
+/// An *unwritten* web reads without its lock. Every clone shares the base
+/// the web was built over and a `written` flag that each mutating method
+/// ([`register`](SimulatedWeb::register),
+/// [`update_host`](SimulatedWeb::update_host), the freezes) sets before it
+/// takes the write lock. Until the flag is set, reads go straight to the
+/// construction-time base; afterwards they take the read lock and see the
+/// overlay too. A web built over a snapshot and only ever read — what
+/// [`Fetcher`](crate::Fetcher)s over a load target use — never touches
+/// the lock, and a write through any clone is seen by every later read.
 #[derive(Debug, Clone, Default)]
 pub struct SimulatedWeb {
-    inner: Arc<RwLock<WebState>>,
+    inner: Arc<WebShared>,
 }
 
 impl SimulatedWeb {
@@ -589,15 +624,20 @@ impl SimulatedWeb {
         SimulatedWeb::default()
     }
 
+    fn over(base: FrozenBase) -> SimulatedWeb {
+        SimulatedWeb {
+            inner: Arc::new(WebShared {
+                initial: WebState::over(base.clone()),
+                written: AtomicBool::new(false),
+                state: RwLock::new(WebState::over(base)),
+            }),
+        }
+    }
+
     /// Create a web whose read path falls through to an existing frozen
     /// snapshot (shared, not copied).
     pub fn from_frozen(frozen: FrozenWeb) -> SimulatedWeb {
-        SimulatedWeb {
-            inner: Arc::new(RwLock::new(WebState {
-                base: FrozenBase::Single(frozen),
-                overlay: HashMap::new(),
-            })),
-        }
+        SimulatedWeb::over(FrozenBase::Single(frozen))
     }
 
     /// Create a web whose read path falls through to a sharded frozen
@@ -605,58 +645,69 @@ impl SimulatedWeb {
     /// [`freeze_sharded`](SimulatedWeb::freeze_sharded) at the same shard
     /// count reuses the store when the overlay is empty.
     pub fn from_sharded(sharded: ShardedFrozenWeb) -> SimulatedWeb {
-        SimulatedWeb {
-            inner: Arc::new(RwLock::new(WebState {
-                base: FrozenBase::Sharded(sharded),
-                overlay: HashMap::new(),
-            })),
+        SimulatedWeb::over(FrozenBase::Sharded(sharded))
+    }
+
+    /// Run `f` on the current state: the construction-time state, without
+    /// the lock, while nothing was written; the guarded state afterwards.
+    fn read<T>(&self, f: impl FnOnce(&WebState) -> T) -> T {
+        if self.inner.written.load(Ordering::Acquire) {
+            f(&self.inner.state.read())
+        } else {
+            f(&self.inner.initial)
         }
+    }
+
+    /// The write guard, taken only after marking the web written so that
+    /// reads from then on go through the lock.
+    fn write(&self) -> RwLockWriteGuard<'_, WebState> {
+        self.inner.written.store(true, Ordering::Release);
+        self.inner.state.write()
     }
 
     /// Register (or replace) a host. Post-freeze registrations land in the
     /// overlay and shadow any same-named frozen host.
     pub fn register(&mut self, host: SiteHost) {
-        self.inner
-            .write()
-            .overlay
-            .insert(host.domain().clone(), host);
+        self.write().overlay.insert(host.domain().clone(), host);
     }
 
     /// True if a host with this name exists.
     pub fn has_host(&self, host: &DomainName) -> bool {
-        let state = self.inner.read();
-        state.overlay.contains_key(host) || state.base.has_host(host)
+        self.read(|state| state.overlay.contains_key(host) || state.base.has_host(host))
     }
 
     /// Number of registered hosts.
     pub fn host_count(&self) -> usize {
-        let state = self.inner.read();
-        state.base.host_count()
-            + state
-                .overlay
-                .keys()
-                .filter(|d| !state.base.has_host(d))
-                .count()
+        self.read(|state| {
+            state.base.host_count()
+                + state
+                    .overlay
+                    .keys()
+                    .filter(|d| !state.base.has_host(d))
+                    .count()
+        })
     }
 
     /// All registered host names, sorted.
     pub fn hosts(&self) -> Vec<DomainName> {
-        let state = self.inner.read();
-        let mut hosts: Vec<DomainName> = state.overlay.keys().cloned().collect();
-        hosts.extend(
-            state
-                .base
-                .host_names()
-                .into_iter()
-                .filter(|d| !state.overlay.contains_key(d)),
-        );
+        let mut hosts = self.read(|state| {
+            let mut hosts: Vec<DomainName> = state.overlay.keys().cloned().collect();
+            hosts.extend(
+                state
+                    .base
+                    .host_names()
+                    .into_iter()
+                    .filter(|d| !state.overlay.contains_key(d)),
+            );
+            hosts
+        });
         hosts.sort();
         hosts
     }
 
     /// Run a closure against a host's definition, if it exists.
     pub fn with_host<T>(&self, host: &DomainName, f: impl FnOnce(&SiteHost) -> T) -> Option<T> {
-        self.inner.read().host(host).map(f)
+        self.read(|state| state.host(host).map(f))
     }
 
     /// Mutate a host's definition in place (e.g. take it offline mid-run).
@@ -666,7 +717,7 @@ impl SimulatedWeb {
     /// bumps), so the mutation is visible to every clone of this web while
     /// existing [`FrozenWeb`] snapshots keep serving the original.
     pub fn update_host(&mut self, host: &DomainName, f: impl FnOnce(&mut SiteHost)) -> bool {
-        let mut state = self.inner.write();
+        let mut state = self.write();
         if let Some(h) = state.overlay.get_mut(host) {
             f(h);
             return true;
@@ -691,7 +742,7 @@ impl SimulatedWeb {
     /// whose base is *sharded* collapses it into a single table once and
     /// caches that as the new base, so repeat freezes are again free.
     pub fn freeze(&self) -> FrozenWeb {
-        let mut state = self.inner.write();
+        let mut state = self.write();
         if state.overlay.is_empty() {
             if let FrozenBase::Single(frozen) = &state.base {
                 return frozen.clone();
@@ -716,7 +767,7 @@ impl SimulatedWeb {
     /// single-table base, a different shard count, or pending overlay
     /// edits (which may land on different shards) — reshards once.
     pub fn freeze_sharded(&self, shard_count: usize) -> ShardedFrozenWeb {
-        let mut state = self.inner.write();
+        let mut state = self.write();
         if state.overlay.is_empty() {
             if let FrozenBase::Sharded(sharded) = &state.base {
                 if sharded.shard_count() == shard_count {
@@ -735,28 +786,28 @@ impl SimulatedWeb {
     /// happened). Overlay entries are *not* included; a sharded base is
     /// collapsed on the fly without replacing it.
     pub fn frozen_base(&self) -> FrozenWeb {
-        match &self.inner.read().base {
+        self.read(|state| match &state.base {
             FrozenBase::Single(frozen) => frozen.clone(),
             FrozenBase::Sharded(sharded) => sharded.collapse(),
-        }
+        })
     }
 
     /// The current sharded base, when the last freeze was sharded.
     pub fn sharded_base(&self) -> Option<ShardedFrozenWeb> {
-        match &self.inner.read().base {
+        self.read(|state| match &state.base {
             FrozenBase::Single(_) => None,
             FrozenBase::Sharded(sharded) => Some(sharded.clone()),
-        }
+        })
     }
 
     /// Resolve what a host would serve for a URL, without going through the
     /// fetcher's policy layer. This is the "server side" of the simulation.
     /// The returned body/headers are refcount bumps, not copies.
     pub fn serve(&self, url: &Url) -> ServedPage {
-        match self.inner.read().host(&url.host) {
+        self.read(|state| match state.host(&url.host) {
             Some(host) => host.serve_path(url),
             None => ServedPage::NoSuchHost,
-        }
+        })
     }
 }
 
@@ -1016,6 +1067,111 @@ mod tests {
             h.set_offline(true);
         });
         assert!(!frozen.host(&dn("example.com")).unwrap().is_offline());
+    }
+
+    /// A frozen two-host snapshot, and the URLs the unwritten-web tests
+    /// read.
+    fn two_host_snapshot() -> (FrozenWeb, Vec<Url>) {
+        let mut web = SimulatedWeb::new();
+        for name in ["example.com", "other.com"] {
+            let mut host = SiteHost::new(name).unwrap();
+            host.add_page("/", format!("<html>{name}</html>"));
+            host.add_header("/", "X-Robots-Tag", "noindex");
+            web.register(host);
+        }
+        let urls = [
+            "https://example.com/",
+            "https://other.com/",
+            "https://late.com/",
+        ]
+        .iter()
+        .map(|u| Url::parse(u).unwrap())
+        .collect();
+        (web.freeze(), urls)
+    }
+
+    #[test]
+    fn writes_through_one_clone_reach_a_fetcher_on_another() {
+        let (frozen, urls) = two_host_snapshot();
+        let mut writer = frozen.to_web();
+        let fetcher = crate::Fetcher::new(writer.clone());
+        assert!(fetcher.get(&urls[0]).unwrap().status.is_success());
+        assert!(fetcher.get(&urls[2]).is_err());
+
+        assert!(writer.update_host(&dn("example.com"), |h| {
+            h.set_offline(true);
+        }));
+        let mut late = SiteHost::new("late.com").unwrap();
+        late.add_page("/", "late");
+        writer.register(late);
+
+        assert!(matches!(
+            fetcher.get(&urls[0]),
+            Err(crate::NetError::ConnectionRefused { .. })
+        ));
+        assert_eq!(fetcher.get(&urls[2]).unwrap().body_text(), "late");
+        assert!(fetcher.web().has_host(&dn("late.com")));
+        assert_eq!(fetcher.web().host_count(), 3);
+        // The snapshot the web was built over is untouched.
+        assert!(matches!(frozen.serve(&urls[0]), ServedPage::Content { .. }));
+    }
+
+    #[test]
+    fn writes_on_another_thread_are_seen_after_the_join() {
+        let (frozen, urls) = two_host_snapshot();
+        let web = frozen.to_web();
+        let fetcher = crate::Fetcher::new(web.clone());
+        assert!(fetcher.get(&urls[1]).unwrap().status.is_success());
+
+        let mut writer = web.clone();
+        std::thread::spawn(move || {
+            writer.update_host(&dn("other.com"), |h| {
+                h.set_offline(true);
+            });
+            let mut late = SiteHost::new("late.com").unwrap();
+            late.add_page("/", "late");
+            writer.register(late);
+        })
+        .join()
+        .unwrap();
+
+        assert_eq!(web.serve(&urls[1]), ServedPage::Refused);
+        assert!(matches!(
+            fetcher.get(&urls[1]),
+            Err(crate::NetError::ConnectionRefused { .. })
+        ));
+        assert_eq!(fetcher.get(&urls[2]).unwrap().body_text(), "late");
+    }
+
+    #[test]
+    fn freezing_an_unwritten_web_serves_the_same() {
+        let (frozen, urls) = two_host_snapshot();
+        let expected: Vec<ServedPage> = urls.iter().map(|u| frozen.serve(u)).collect();
+
+        let web = frozen.to_web();
+        let refrozen = web.freeze();
+        // Nothing was written, so the snapshot comes back as is.
+        assert!(refrozen.ptr_eq(&frozen));
+        let after: Vec<ServedPage> = urls.iter().map(|u| web.serve(u)).collect();
+        assert_eq!(after, expected);
+
+        let sharded_web = frozen.to_web();
+        let sharded = sharded_web.freeze_sharded(4);
+        assert_eq!(sharded.shard_count(), 4);
+        for (url, want) in urls.iter().zip(&expected) {
+            assert_eq!(&sharded.serve(url), want);
+            assert_eq!(&sharded_web.serve(url), want);
+        }
+        assert_eq!(sharded_web.hosts(), frozen.hosts());
+
+        // An unwritten web over a sharded store freezes back to the same
+        // contents, single or sharded.
+        let over_shards = SimulatedWeb::from_sharded(sharded.clone());
+        assert!(over_shards.freeze_sharded(4).ptr_eq(&sharded));
+        let collapsed = SimulatedWeb::from_sharded(sharded).freeze();
+        for (url, want) in urls.iter().zip(&expected) {
+            assert_eq!(&collapsed.serve(url), want);
+        }
     }
 
     #[test]
